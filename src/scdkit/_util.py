@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 # Working precision is a run-time choice. Coefficients (twiddles, windows,
 # phase tables) are always generated in float64 and rounded down to the
@@ -27,6 +27,23 @@ def complex_dtype(precision: str):
 
 def real_dtype(precision: str):
     return REAL_DTYPES[precision]
+
+
+def is_pow2(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def require_finite(x: np.ndarray) -> None:
+    """Raise DataError if any sample is NaN or infinite.
+
+    One non-finite sample spreads through normalization and every transform,
+    so it is rejected at the estimator boundary rather than written out.
+    """
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise DataError(
+            f"input holds {int(bad.sum())} non-finite samples (first at index {int(bad.argmax())})"
+        )
 
 
 def block_ranges(n_items: int, block: int):

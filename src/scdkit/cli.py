@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-i", "--input", required=True)
     s.add_argument("--n", type=int, default=1 << 20)
     s.add_argument("--np", type=int, default=64)
-    s.add_argument("--m1", type=int, default=1024)
+    s.add_argument("--m1", type=int, default=None,
+                   help="stage-1 size (default: balanced split for --n and --np)")
     s.add_argument("--mode", default="2d", choices=sorted(_MODE_NAMES))
     s.add_argument("--precision", default="f32", choices=("f32", "f64"))
     s.add_argument("--threads", type=int, default=1)

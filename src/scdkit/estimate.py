@@ -90,7 +90,7 @@ def scd_to_grid(est: ScdEstimate, n_f_bins: int, n_alpha_bins: int) -> np.ndarra
     a_lo, a_hi = ALPHA_RANGE
     f_width = (f_hi - f_lo) / n_f_bins
     a_width = (a_hi - a_lo) / n_alpha_bins
-    grid = np.zeros((n_alpha_bins, n_f_bins), dtype=np.float64)
+    grid = np.zeros(n_alpha_bins * n_f_bins, dtype=np.float64)
 
     rows_per_chunk = max(1, _GRID_CHUNK // cols)
     off = est.col_offsets[None, :]
@@ -99,5 +99,9 @@ def scd_to_grid(est: ScdEstimate, n_f_bins: int, n_alpha_bins: int) -> np.ndarra
         a = est.alpha_base[r0:r1, None] + est.alpha_slope * off
         fi = np.clip(((f - f_lo) / f_width).astype(np.int64), 0, n_f_bins - 1)
         ai = np.clip(((a - a_lo) / a_width).astype(np.int64), 0, n_alpha_bins - 1)
-        np.maximum.at(grid, (ai.ravel(), fi.ravel()), est.values[r0:r1].ravel())
-    return grid
+        ai *= n_f_bins
+        ai += fi  # flat cell index, row-major like the reshaped grid
+        vals = est.values[r0:r1].ravel().astype(np.float64, copy=False)
+        # one 1-D index and float64 values keep np.maximum.at on numpy's fast path
+        np.maximum.at(grid, ai.ravel(), vals)
+    return grid.reshape(n_alpha_bins, n_f_bins)

@@ -14,17 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import block_ranges, complex_dtype, real_dtype, run_partitioned
+from ._util import (block_ranges, complex_dtype, is_pow2, real_dtype, require_finite,
+                    run_partitioned)
 from .errors import ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
 from .fftcore import get_plan, shift_indices
 from .signal import WindowSpec, normalize, window_array
 
 _PAIR_CHUNK = 16  # channel rows per conjugate-product task
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class FamConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        if not _is_pow2(self.N) or not _is_pow2(self.Np):
+        if not is_pow2(self.N) or not is_pow2(self.Np):
             raise ConfigurationError("N and Np must be powers of two")
         if self.Np < 8:
             raise ConfigurationError("Np must be >= 8 so the stride L = Np/4 is even")
@@ -185,6 +182,7 @@ def fam_full(
 ) -> ScdEstimate:
     """Full pipeline: normalize, frame, demodulate, conjugate-multiply."""
     x = np.asarray(x).astype(complex_dtype(cfg.precision), copy=False)
+    require_finite(x)
     if normalize_input:
         x = normalize(x)
     return fam_scd(demodulate(frame(x, cfg), cfg), cfg, threads=threads)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import is_pow2
 from .errors import ConfigurationError, DimensionError
 
 # Stage transforms of the decomposed path can be as small as 4 even though
@@ -19,10 +20,6 @@ from .errors import ConfigurationError, DimensionError
 MIN_FFT_SIZE = 2
 MAX_FFT_SIZE = 1 << 20
 MAX_STAGE_SIZE = 1 << 10  # per-stage cap for the decomposed transform
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
@@ -42,7 +39,7 @@ class FftPlan:
     """
 
     def __init__(self, size: int):
-        if not _is_pow2(size) or not MIN_FFT_SIZE <= size <= MAX_FFT_SIZE:
+        if not is_pow2(size) or not MIN_FFT_SIZE <= size <= MAX_FFT_SIZE:
             raise ConfigurationError(
                 f"FFT size must be a power of two in [{MIN_FFT_SIZE}, {MAX_FFT_SIZE}], got {size}"
             )
@@ -146,7 +143,7 @@ def fft_decomposed(x: np.ndarray, m1: int, m2: int) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise DimensionError(f"fft_decomposed expects a 1-D series, got shape {x.shape}")
-    if not (_is_pow2(m1) and _is_pow2(m2)):
+    if not (is_pow2(m1) and is_pow2(m2)):
         raise ConfigurationError(f"stage sizes must be powers of two, got {m1} x {m2}")
     if m1 > MAX_STAGE_SIZE or m2 > MAX_STAGE_SIZE:
         raise ConfigurationError(f"stage sizes must be <= {MAX_STAGE_SIZE}, got {m1} x {m2}")

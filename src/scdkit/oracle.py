@@ -231,7 +231,9 @@ def alpha_profile(est: ScdEstimate, n_alpha_bins: int) -> AlphaProfile:
     for r0, r1 in block_ranges(rows, rows_per_chunk):
         a = est.alpha_base[r0:r1, None] + est.alpha_slope * est.col_offsets[None, :]
         idx = np.clip(np.rint((a + 1.0) / d).astype(np.int64), 0, n_alpha_bins - 1)
-        np.maximum.at(values, idx.ravel(), est.values[r0:r1].ravel())
+        vals = est.values[r0:r1].ravel().astype(np.float64, copy=False)
+        # values already in float64 keep np.maximum.at on numpy's fast path
+        np.maximum.at(values, idx.ravel(), vals)
     return AlphaProfile(alphas=alphas, values=values)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._util import is_pow2
 from .errors import ConfigurationError
 
 _COMPLEX_BYTES = 8  # single-precision complex
@@ -41,10 +42,6 @@ class PlanReport:
     violations: list = field(default_factory=list)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def check_constraints(report: PlanReport, dev: DeviceModel) -> list:
     """Empty iff tiles, streams, and per-kernel buffers all fit the device."""
     violations = []
@@ -72,7 +69,7 @@ def plan_fam(n: int, np_channels: int, dev: DeviceModel = DeviceModel()) -> Plan
     normalization kernel plus ceil(4N/2F) distribution kernels up front, and
     min(Np, 128) kernels in the final stage.
     """
-    if not (_is_pow2(n) and _is_pow2(np_channels)):
+    if not (is_pow2(n) and is_pow2(np_channels)):
         raise ConfigurationError("N and Np must be powers of two")
     if not (1 << 4) <= np_channels <= (1 << 8):
         raise ConfigurationError("planner envelope: Np must lie in [2^4, 2^8]")
@@ -113,7 +110,7 @@ def plan_ssca(
     the rotation factors. Off-chip memory is required once the intermediate
     matrix exceeds 2^20 complex values.
     """
-    if not (_is_pow2(n) and _is_pow2(np_channels) and _is_pow2(m1)):
+    if not (is_pow2(n) and is_pow2(np_channels) and is_pow2(m1)):
         raise ConfigurationError("N, Np, and M1 must be powers of two")
     if not (1 << 5) <= np_channels <= (1 << 8):
         raise ConfigurationError("planner envelope: Np must lie in [2^5, 2^8]")

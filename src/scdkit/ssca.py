@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import block_ranges, complex_dtype, real_dtype, run_partitioned
+from ._util import (block_ranges, complex_dtype, is_pow2, real_dtype, require_finite,
+                    run_partitioned)
 from .errors import CapacityError, ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
 from .fftcore import get_plan, shift_indices
@@ -25,10 +26,6 @@ from .signal import WindowSpec, normalize, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _default_split(n: int, np_channels: int) -> tuple[int, int]:
@@ -67,9 +64,9 @@ class SscaConfig:
     spill_read_factor: int = 8
 
     def __post_init__(self):
-        if not _is_pow2(self.N) or not (1 << 12) <= self.N <= (1 << 20):
+        if not is_pow2(self.N) or not (1 << 12) <= self.N <= (1 << 20):
             raise ConfigurationError("N must be a power of two in [2^12, 2^20]")
-        if not _is_pow2(self.Np) or not (1 << 5) <= self.Np <= (1 << 8):
+        if not is_pow2(self.Np) or not (1 << 5) <= self.Np <= (1 << 8):
             raise ConfigurationError("Np must be a power of two in [2^5, 2^8]")
         if self.M1 is None and self.M2 is None:
             m1, m2 = _default_split(self.N, self.Np)
@@ -79,7 +76,7 @@ class SscaConfig:
             object.__setattr__(self, "M1", self.N // self.M2)
         elif self.M2 is None:
             object.__setattr__(self, "M2", self.N // self.M1)
-        if not (_is_pow2(self.M1) and _is_pow2(self.M2)):
+        if not (is_pow2(self.M1) and is_pow2(self.M2)):
             raise ConfigurationError("M1 and M2 must be powers of two")
         if self.M1 * self.M2 != self.N:
             raise ConfigurationError(f"M1*M2 = {self.M1 * self.M2} must equal N = {self.N}")
@@ -159,6 +156,7 @@ def _prepare_input(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.
     if x.shape != (cfg.N,):
         raise DimensionError(f"input length {x.shape} does not match N={cfg.N}")
     x = x.astype(complex_dtype(cfg.precision), copy=False)
+    require_finite(x)
     return normalize(x) if normalize_input else x
 
 

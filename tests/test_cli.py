@@ -62,6 +62,31 @@ def test_fam_input_length_mismatch(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("estimator,n,np_channels", [("fam", 512, 64), ("ssca", 4096, 32)])
+def test_non_finite_input_is_a_data_error(tmp_path, capsys, estimator, n, np_channels):
+    x = np.ones(n, dtype=np.complex64)
+    x[n // 3] = np.nan
+    iq = tmp_path / "nan.iq"
+    scdio.write_iq(iq, x)
+    outs = [tmp_path / "o.scd1", tmp_path / "p.csv", tmp_path / "h.pgm"]
+    rc = main([estimator, "-i", str(iq), "--n", str(n), "--np", str(np_channels),
+               "-o", str(outs[0]), "--profile-csv", str(outs[1]), "--pgm", str(outs[2])])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
+def test_ssca_default_m1_follows_n(tmp_path, capsys):
+    # a fixed default M1 = 1024 leaves M2 = 4 at N = 4096, which Np = 64 cannot divide
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "4096", "--seed", "2", "-o", str(iq)]) == 0
+    out = tmp_path / "o.scd1"
+    assert main(["ssca", "-i", str(iq), "--n", "4096", "--np", "64", "-o", str(out)]) == 0
+    assert "M1=64 " in capsys.readouterr().out
+    grid, _ = scdio.read_scd1(out)
+    assert grid.shape == (1024, 512) and np.all(np.isfinite(grid))
+
+
 def test_scd1_roundtrip_bytes(tmp_path, capsys):
     iq = tmp_path / "x.iq"
     assert main(["gen", "--n", "512", "--seed", "1", "-o", str(iq)]) == 0
@@ -187,7 +212,10 @@ def test_parser_defaults_follow_reference_settings():
     fam = parser.parse_args(["fam", "-i", "x.iq", "-o", "y.scd1"])
     assert (fam.n, fam.np) == (2048, 256)
     ssca = parser.parse_args(["ssca", "-i", "x.iq", "-o", "y.scd1"])
-    assert (ssca.n, ssca.np, ssca.m1) == (1 << 20, 64, 1024)
+    assert (ssca.n, ssca.np, ssca.m1) == (1 << 20, 64, None)
+    # the automatic split is the reference M1 = M2 = 1024 at the default N
+    cfg = sk.SscaConfig(N=ssca.n, Np=ssca.np, M1=ssca.m1)
+    assert (cfg.M1, cfg.M2) == (1024, 1024)
     assert ssca.mode == "2d"
     bench = parser.parse_args(["bench", "fam"])
     assert bench.repeat == 10

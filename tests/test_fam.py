@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scdkit as sk
+from scdkit import estimate, oracle
 from scdkit._util import value_hash
 
 
@@ -155,6 +158,14 @@ def test_fam_full_scaling_contract():
     assert err.max() <= 1e-6
 
 
+@pytest.mark.parametrize("normalize_input", [True, False])
+def test_fam_full_rejects_non_finite_input(normalize_input):
+    x = _random_series(128, seed=3)
+    x[17] = complex(np.nan, 0.0)
+    with pytest.raises(sk.DataError, match="non-finite"):
+        sk.fam_full(x, sk.FamConfig(N=128, Np=16), normalize_input=normalize_input)
+
+
 def test_fam_threads_bit_identical():
     cfg = sk.FamConfig(N=512, Np=64)
     x = sk.generate_dsss_bpsk(sk.DsssBpskConfig(n_samples=512, snr_db=5.0, seed=2))
@@ -200,6 +211,64 @@ def test_fam_to_grid_examples():
     est3 = sk.fam_full(_random_series(128, seed=5), cfg)
     grid3 = sk.fam_to_grid(est3, 32, 64)
     assert np.count_nonzero(grid3) <= est3.n_bins
+
+
+def _grid_reference(est, n_f_bins, n_alpha_bins):
+    # unchunked tuple-index scatter of the raw values: the straight-line form
+    f_lo, f_hi = sk.F_RANGE
+    a_lo, a_hi = sk.ALPHA_RANGE
+    fi = np.clip(((est.freqs() - f_lo) / ((f_hi - f_lo) / n_f_bins)).astype(np.int64),
+                 0, n_f_bins - 1)
+    ai = np.clip(((est.alphas() - a_lo) / ((a_hi - a_lo) / n_alpha_bins)).astype(np.int64),
+                 0, n_alpha_bins - 1)
+    grid = np.zeros((n_alpha_bins, n_f_bins))
+    np.maximum.at(grid, (ai.ravel(), fi.ravel()), est.values.ravel())
+    return grid
+
+
+def _profile_reference(est, n_alpha_bins):
+    d = 2.0 / (n_alpha_bins - 1)
+    idx = np.clip(np.rint((est.alphas() + 1.0) / d).astype(np.int64), 0, n_alpha_bins - 1)
+    values = np.zeros(n_alpha_bins)
+    np.maximum.at(values, idx.ravel(), est.values.ravel())
+    return values
+
+
+@st.composite
+def _lattices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 8))
+    # few distinct magnitudes, so many bins tie for a cell
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 3.0000002]),
+                           min_size=rows * cols, max_size=rows * cols))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    # coordinates reach past [-0.5, 0.5] x [-1, 1] so clipping runs
+    coord = st.floats(-1.5, 1.5, allow_nan=False)
+    f_slope = draw(st.sampled_from([0.0, 0.25, -0.0625]) | st.floats(-0.5, 0.5))
+    return sk.ScdEstimate(
+        values=np.array(values, dtype=dtype).reshape(rows, cols),
+        f_base=np.array(draw(st.lists(coord, min_size=rows, max_size=rows))),
+        alpha_base=2.0 * np.array(draw(st.lists(coord, min_size=rows, max_size=rows))),
+        col_offsets=np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=cols,
+                                           max_size=cols))),
+        f_slope=f_slope,
+        alpha_slope=draw(st.floats(-1.0, 1.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattices(), st.integers(1, 9), st.integers(1, 9), st.integers(2, 17),
+       st.integers(1, 12))
+def test_rasterizer_and_profile_match_reference(est, n_f, n_alpha, n_profile, chunk):
+    # a chunk of a few bins splits even these small lattices across chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_GRID_CHUNK", chunk)
+        mp.setattr(oracle, "_STAT_CHUNK", chunk)
+        grid = sk.scd_to_grid(est, n_f, n_alpha)
+        profile = sk.alpha_profile(est, n_profile)
+    assert grid.shape == (n_alpha, n_f) and grid.dtype == np.float64
+    assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
+    assert np.array_equal(profile.values, _profile_reference(est, n_profile))
 
 
 def test_fam_profile_peaks_on_data_rate_comb():

@@ -146,6 +146,16 @@ def test_mode_mismatch_raises():
         sk.ssca_2dfft(np.zeros(4096, dtype=complex), _cfg(mode="direct_1d"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("entry,mode", [(sk.cdp, "direct_1d"), (sk.ssca_direct, "direct_1d"),
+                                        (sk.ssca_2dfft, "decomposed_2d")])
+def test_non_finite_input_rejected(bad, entry, mode):
+    x = _dsss(4096)
+    x[1000] = bad
+    with pytest.raises(sk.DataError, match="non-finite"):
+        entry(x, _cfg(mode=mode))
+
+
 def test_direct_capacity_guard():
     cfg = _cfg(mem_cap_values=1 << 10)
     with pytest.raises(sk.CapacityError):
