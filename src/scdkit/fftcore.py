@@ -123,11 +123,9 @@ def transpose(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.T)
 
 
-def rotation_factors(m1_out: int, m2: int, n: int, dtype=np.complex128) -> np.ndarray:
-    """Inter-stage coupling table rot[m1p, m2] = exp(-i 2 pi m1p m2 / n)."""
-    table = np.exp(
-        (-2j * np.pi / n) * np.outer(np.arange(m1_out), np.arange(m2))
-    )
+def rotation_factors(m1_out: int, cols: np.ndarray, n: int, dtype=np.complex128) -> np.ndarray:
+    """Inter-stage coupling table rot[m1p, j] = exp(-i 2 pi m1p cols[j] / n)."""
+    table = np.exp((-2j * np.pi / n) * np.outer(np.arange(m1_out), cols))
     return table.astype(dtype)
 
 
@@ -153,7 +151,7 @@ def fft_decomposed(x: np.ndarray, m1: int, m2: int) -> np.ndarray:
     dtype = x.dtype if x.dtype in (np.complex64, np.complex128) else np.complex128
     a = x.astype(dtype, copy=False).reshape(m1, m2)
     s1 = get_plan(m1).execute(a, axis=0)
-    s1 = s1 * rotation_factors(m1, m2, n, dtype)
+    s1 = s1 * rotation_factors(m1, np.arange(m2), n, dtype)
     s2 = get_plan(m2).execute(s1, axis=1)
     # bin k = m1*k2 + k1
     return np.ascontiguousarray(s2.T).reshape(n)

@@ -4,14 +4,18 @@ The channelizer data product multiplies each sliding complex demodulate by
 the conjugate of the raw signal; one length-N transform per channel then
 covers a strip of the (f, alpha) plane. Two interchangeable back ends
 compute that transform: a direct N-point FFT per channel, and a two-stage
-M1 x M2 decomposition whose stage-1 output can be spilled to disk when the
-intermediate matrix exceeds the configured in-memory cap. Both back ends
-produce bit-identical magnitudes.
+M1 x M2 decomposition that streams one column strip at a time (the
+four-step scheme for FFTs in hierarchical memory). The decomposed back end
+has one code path; the in-memory cap only picks where its stage-1 output
+is stored: a plain array, or a spill file on disk past the cap. Both
+stores produce bit-identical magnitudes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, replace
 
@@ -21,11 +25,12 @@ from ._util import (block_ranges, complex_dtype, is_pow2, real_dtype, require_fi
                     run_partitioned)
 from .errors import CapacityError, ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import get_plan, shift_indices
+from .fftcore import get_plan, rotation_factors, shift_indices
 from .signal import WindowSpec, normalize, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
+_STRIP_ELEMS = 1 << 15       # stage-1 column strips are batched up to this many values
 
 
 def _default_split(n: int, np_channels: int) -> tuple[int, int]:
@@ -46,9 +51,10 @@ class SscaConfig:
     size, and M1 x M2 = N the stage sizes of the decomposed back end. M2
     must be divisible by Np so the down-conversion phase repeats cleanly
     across stage-1 rows. mem_cap_values bounds how many complex values are
-    held in memory at once; past it the decomposed back end streams stage-1
-    results through a spill file read back with a widened stride
-    (spill_read_factor rows per fetch).
+    held in memory at once. The direct back end and cdp() refuse to run past
+    it; the decomposed back end then keeps its stage-1 output in a spill
+    file in spill_dir instead of an array. Either store is read back with a
+    widened stride (spill_read_factor stage-1 rows per fetch).
     """
 
     N: int
@@ -160,19 +166,23 @@ def _prepare_input(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.
     return normalize(x) if normalize_input else x
 
 
-def cdp(x: np.ndarray, cfg: SscaConfig) -> np.ndarray:
-    """Full N x Np channelizer data product (memory permitting)."""
+def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.ndarray:
     if cfg.N * cfg.Np > cfg.mem_cap_values:
         raise CapacityError(
-            f"CDP of {cfg.N} x {cfg.Np} values exceeds mem_cap_values={cfg.mem_cap_values}"
+            f"the full {cfg.N} x {cfg.Np} CDP does not fit in "
+            f"mem_cap_values={cfg.mem_cap_values} complex values"
         )
-    x = _prepare_input(x, cfg, normalize_input=False)
-    kernel = _CdpKernel(x, cfg)
+    kernel = _CdpKernel(_prepare_input(x, cfg, normalize_input), cfg)
     out = np.empty((cfg.N, cfg.Np), dtype=complex_dtype(cfg.precision))
     block = max(1, _CDP_BLOCK_ELEMS // cfg.Np)
     for r0, r1 in block_ranges(cfg.N, block):
         out[r0:r1] = kernel.rows(np.arange(r0, r1))
     return out
+
+
+def cdp(x: np.ndarray, cfg: SscaConfig) -> np.ndarray:
+    """Full N x Np channelizer data product (memory permitting)."""
+    return _cdp_matrix(x, cfg, normalize_input=False)
 
 
 def _estimate_from_values(values: np.ndarray, cfg: SscaConfig, backend: str) -> ScdEstimate:
@@ -209,19 +219,7 @@ def ssca_direct(
     """
     if cfg.mode != "direct_1d":
         raise ConfigurationError("ssca_direct requires cfg.mode == 'direct_1d'")
-    if cfg.N * cfg.Np > cfg.mem_cap_values:
-        raise CapacityError(
-            f"direct back end needs {cfg.N} x {cfg.Np} complex values in memory, "
-            f"over mem_cap_values={cfg.mem_cap_values}"
-        )
-    x = _prepare_input(x, cfg, normalize_input)
-    kernel = _CdpKernel(x, cfg)
-    cdt = complex_dtype(cfg.precision)
-    cdp_mat = np.empty((cfg.N, cfg.Np), dtype=cdt)
-    block = max(1, _CDP_BLOCK_ELEMS // cfg.Np)
-    for r0, r1 in block_ranges(cfg.N, block):
-        cdp_mat[r0:r1] = kernel.rows(np.arange(r0, r1))
-
+    cdp_mat = _cdp_matrix(x, cfg, normalize_input)
     plan = get_plan(cfg.N)
     shift = shift_indices(cfg.N)
     values = np.empty((cfg.Np, cfg.N), dtype=real_dtype(cfg.precision))
@@ -237,85 +235,88 @@ def ssca_direct(
     return _estimate_from_values(values, cfg, "ssca_direct")
 
 
-def _rotation_column(m2: int, m1: int, n: int, cdt) -> np.ndarray:
-    return np.exp((-2j * np.pi / n) * (np.arange(m1) * m2)).astype(cdt)
-
-
-def _ssca_2dfft_in_memory(kernel: _CdpKernel, cfg: SscaConfig, threads: int) -> np.ndarray:
-    cdt = complex_dtype(cfg.precision)
+def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, stage1: np.ndarray) -> np.ndarray:
     m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
-    cube = np.empty((m1, m2, np_ch), dtype=cdt)
-    block = max(1, _CDP_BLOCK_ELEMS // np_ch)
-    for r0, r1 in block_ranges(n, block):
-        cube.reshape(n, np_ch)[r0:r1] = kernel.rows(np.arange(r0, r1))
-    s1 = get_plan(m1).execute(cube, axis=0)
-    del cube
-    rot = np.exp((-2j * np.pi / n) * np.outer(np.arange(m1), np.arange(m2))).astype(cdt)
-    s1 *= rot[:, :, None]
-    s2 = get_plan(m2).execute(s1, axis=1)
-    del s1
-    # global bin b = M1*m2' + m1'
-    flat = np.ascontiguousarray(s2.transpose(1, 0, 2)).reshape(n, np_ch)
-    del s2
-    shifted = flat[shift_indices(n), :]
-    return np.ascontiguousarray(np.abs(shifted).T)
-
-
-def _ssca_2dfft_spilled(kernel: _CdpKernel, cfg: SscaConfig) -> np.ndarray:
     cdt = complex_dtype(cfg.precision)
-    m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
     plan1, plan2 = get_plan(m1), get_plan(m2)
-    fd, path = tempfile.mkstemp(suffix=".stage1", dir=cfg.spill_dir)
+    # stage 1: M1 x Np column strips, CDP rows n = M2*m1 + m2 for each
+    # column m2; small strips are batched so the loop runs fewer times
+    width = max(1, _STRIP_ELEMS // (m1 * np_ch))
+    for c0, c1 in block_ranges(m2, width):
+        cols = np.arange(c0, c1)
+        n_idx = cols[:, None] + np.arange(m1) * m2
+        strips = kernel.rows(n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
+        s1 = plan1.execute(strips, axis=1)
+        s1 *= rotation_factors(m1, cols, n, cdt).T[:, :, None]
+        stage1[c0:c1] = s1
+    if isinstance(stage1, np.memmap):
+        stage1.flush()  # write-back errors surface here, as an OSError
+
+    # stage 2: strided reads widened by the configured block factor
+    values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
+    half = n // 2
+    for b0, b1 in block_ranges(m1, cfg.spill_read_factor):
+        s2 = plan2.execute(np.asarray(stage1[:, b0:b1, :]), axis=0)
+        # global bin b = M1*m2' + m1'
+        bins = m1 * np.arange(m2)[:, None] + np.arange(b0, b1)[None, :]
+        shifted = (bins + half) % n
+        values[:, shifted.reshape(-1)] = np.abs(s2).reshape(m2 * (b1 - b0), np_ch).T
+    return values
+
+
+@contextlib.contextmanager
+def _spill_file(cfg: SscaConfig, shape: tuple, dtype):
+    """Memmap of a temporary stage-1 file in the spill directory.
+
+    Free space is checked before the file exists, since a sparse memmap only
+    meets a full disk through page faults mid-write. Any OSError of the
+    file (create, map, flush) is re-raised as a CapacityError naming it.
+    """
+    spill_dir = cfg.spill_dir or tempfile.gettempdir()
+    need = cfg.N * cfg.Np * np.dtype(dtype).itemsize
+    try:
+        free = shutil.disk_usage(spill_dir).free
+        if free < need:
+            raise CapacityError(
+                f"spill directory {spill_dir} has {free} bytes free, "
+                f"stage 1 needs {need} bytes"
+            )
+        fd, path = tempfile.mkstemp(suffix=".stage1", dir=spill_dir)
+    except OSError as exc:
+        raise CapacityError(f"cannot create a spill file in {spill_dir}: {exc}") from exc
     os.close(fd)
     try:
-        # stage 1: sequential row blocks of M1 x Np, one per m2
-        spill = np.memmap(path, dtype=cdt, mode="w+", shape=(m2, m1, np_ch))
-        for col in range(m2):
-            n_idx = np.arange(m1) * m2 + col
-            strip = kernel.rows(n_idx)
-            s1 = plan1.execute(strip, axis=0)
-            s1 *= _rotation_column(col, m1, n, cdt)[:, None]
-            spill[col] = s1
-        spill.flush()
-
-        # stage 2: strided reads widened by the configured block factor
-        values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
-        read = np.memmap(path, dtype=cdt, mode="r", shape=(m2, m1, np_ch))
-        width = cfg.spill_read_factor
-        half = n // 2
-        for b0, b1 in block_ranges(m1, width):
-            sub = np.asarray(read[:, b0:b1, :])
-            s2 = plan2.execute(sub, axis=0)
-            bins = m1 * np.arange(m2)[:, None] + np.arange(b0, b1)[None, :]
-            shifted = (bins + half) % n
-            values[:, shifted.reshape(-1)] = np.abs(s2).reshape(m2 * (b1 - b0), np_ch).T
-        del read, spill
+        yield np.memmap(path, dtype=dtype, mode="w+", shape=shape)
+    except OSError as exc:
+        raise CapacityError(f"spill file {path}: {exc}") from exc
     finally:
         os.unlink(path)
-    return values
 
 
 def ssca_2dfft(
     x: np.ndarray,
     cfg: SscaConfig,
-    threads: int = 1,
     normalize_input: bool = True,
 ) -> ScdEstimate:
     """Decomposed back end: stage-1 M1-point FFTs with rotation factors,
     stage-2 M2-point FFTs, and the bin map g = M1*m2' + m1' - N/2.
 
-    CDP rows are generated in the order each stage consumes them, so the
-    full N x Np product never has to exist at once. When N*Np exceeds the
-    in-memory cap, stage-1 results stream through a spill file.
+    CDP rows are generated one stage-1 column strip at a time, so the full
+    N x Np product never exists at once. The M2 x M1 x Np stage-1 output is
+    an array when N*Np fits under mem_cap_values and a spill file past it;
+    both run the same code and give bit-identical values.
     """
     if cfg.mode != "decomposed_2d":
         raise ConfigurationError("ssca_2dfft requires cfg.mode == 'decomposed_2d'")
-    x = _prepare_input(x, cfg, normalize_input)
-    kernel = _CdpKernel(x, cfg)
+    kernel = _CdpKernel(_prepare_input(x, cfg, normalize_input), cfg)
+    shape = (cfg.M2, cfg.M1, cfg.Np)
+    cdt = complex_dtype(cfg.precision)
     if cfg.N * cfg.Np <= cfg.mem_cap_values:
-        values = _ssca_2dfft_in_memory(kernel, cfg, threads)
+        values = _stream_stages(kernel, cfg, np.empty(shape, dtype=cdt))
     else:
-        values = _ssca_2dfft_spilled(kernel, cfg)
+        with _spill_file(cfg, shape, cdt) as stage1:
+            values = _stream_stages(kernel, cfg, stage1)
+            del stage1  # unmap before the file is unlinked
     return _estimate_from_values(values, cfg, "ssca_2dfft")
 
 
@@ -328,7 +329,7 @@ def ssca_full(
     """Run whichever back end the configuration selects."""
     if cfg.mode == "direct_1d":
         return ssca_direct(x, cfg, threads=threads, normalize_input=normalize_input)
-    return ssca_2dfft(x, cfg, threads=threads, normalize_input=normalize_input)
+    return ssca_2dfft(x, cfg, normalize_input=normalize_input)
 
 
 def ssca_to_grid(est: ScdEstimate, n_f_bins: int, n_alpha_bins: int) -> np.ndarray:

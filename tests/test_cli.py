@@ -1,3 +1,6 @@
+import shutil
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,20 @@ def test_ssca_default_m1_follows_n(tmp_path, capsys):
     assert "M1=64 " in capsys.readouterr().out
     grid, _ = scdio.read_scd1(out)
     assert grid.shape == (1024, 512) and np.all(np.isfinite(grid))
+
+
+def test_ssca_spill_disk_too_small_exits_3(tmp_path, capsys, monkeypatch):
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "4096", "--seed", "2", "-o", str(iq)]) == 0
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=0))
+    out = tmp_path / "o.scd1"
+    rc = main(["ssca", "-i", str(iq), "--n", "4096", "--np", "32", "--mem-cap", "1",
+               "--spill-dir", str(spill), "-o", str(out)])
+    assert rc == 3
+    assert str(spill) in capsys.readouterr().err
+    assert list(spill.iterdir()) == [] and not out.exists()
 
 
 def test_scd1_roundtrip_bytes(tmp_path, capsys):

@@ -1,5 +1,11 @@
+import shutil
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scdkit as sk
 from scdkit._util import value_hash
@@ -136,6 +142,65 @@ def test_spill_read_factor_does_not_change_results():
 def test_spill_file_cleaned_up(tmp_path):
     cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
     sk.ssca_2dfft(_dsss(4096), cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def _envelope(draw):
+    log_n = draw(st.integers(12, 16))
+    log_np = draw(st.integers(5, 8))
+    # M2 % Np == 0 and M1, M2 <= 1024
+    log_m2 = draw(st.integers(max(log_np, log_n - 10), 10))
+    m1 = 1 << (log_n - log_m2)
+    return 1 << log_n, 1 << log_np, m1, draw(st.integers(1, m1)), draw(st.integers(0, 1 << 16))
+
+
+@settings(max_examples=6, deadline=None)
+@given(_envelope())
+def test_streamed_envelope_properties(point):
+    n, np_ch, m1, read_factor, seed = point
+    x = _dsss(n, seed=seed)
+    cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision="f32")
+    in_memory = sk.ssca_2dfft(x, cfg)
+    spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1, spill_read_factor=read_factor))
+    assert np.array_equal(in_memory.values, spilled.values)
+    direct = sk.ssca_direct(x, cfg.with_mode("direct_1d"))
+    assert sk.peak_relative_error(in_memory.values, direct.values) <= 1e-5
+
+
+def test_in_memory_store_never_touches_disk(monkeypatch):
+    def no_files(*args, **kwargs):
+        raise AssertionError("in-memory stage 1 created a spill file")
+
+    monkeypatch.setattr("scdkit.ssca.tempfile.mkstemp", no_files)
+    est = sk.ssca_2dfft(_dsss(4096), _cfg(mode="decomposed_2d"))
+    assert np.all(np.isfinite(est.values))
+
+
+def test_spill_disk_too_small_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=1000))
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
+    need = 4096 * 32 * 8
+    with pytest.raises(sk.CapacityError, match=f"{tmp_path}.* 1000 bytes free.* {need} bytes"):
+        sk.ssca_2dfft(_dsss(4096), cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_spill_dir_raises(tmp_path):
+    missing = tmp_path / "gone"
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(missing))
+    with pytest.raises(sk.CapacityError, match=str(missing)):
+        sk.ssca_2dfft(_dsss(4096), cfg)
+
+
+def test_spill_file_os_error_names_file(tmp_path, monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "memmap", full_disk)
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
+    with pytest.raises(sk.CapacityError, match=rf"spill file {tmp_path}.*\.stage1.*No space"):
+        sk.ssca_2dfft(_dsss(4096), cfg)
     assert list(tmp_path.iterdir()) == []
 
 
