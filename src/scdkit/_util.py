@@ -9,9 +9,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 
-# Working precision is a run-time choice. Coefficients (twiddles, windows,
-# phase tables) are always generated in float64 and rounded down to the
-# working type, so single and double runs share one coefficient path.
+# Working precision is a run-time choice. Coefficients (windows, phase
+# tables, rotation factors) are always generated in float64 and rounded down
+# to the working type, so single and double runs share one coefficient path;
+# the transforms themselves run in the working type.
 COMPLEX_DTYPES = {"f32": np.complex64, "f64": np.complex128}
 REAL_DTYPES = {"f32": np.float32, "f64": np.float64}
 

@@ -8,6 +8,7 @@ flag) followed by the row-major payload, rows indexing alpha.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -33,10 +34,15 @@ def write_iq(path, x) -> None:
 
 
 def read_iq(path) -> np.ndarray:
-    """Read interleaved float32 IQ pairs into a complex64 series."""
+    """Read interleaved float32 IQ pairs into a complex64 series.
+
+    A size that is not a whole number of 8-byte samples means a truncated or
+    corrupt file, which is rejected rather than silently cut short.
+    """
+    size = os.path.getsize(path)
+    if size % 8 != 0:
+        raise DataError(f"{path}: {size} bytes is not a whole number of 8-byte IQ samples")
     raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 2 != 0:
-        raise DataError(f"{path}: odd float count, not an interleaved IQ file")
     return (raw[0::2] + 1j * raw[1::2]).astype(np.complex64)
 
 

@@ -1,9 +1,9 @@
 """Independent reference computations and comparison metrics.
 
 Everything here runs in double precision regardless of the pipeline's
-working precision, and deliberately avoids the radix-2 machinery: spectra
-are evaluated as direct sums so the estimators are checked against a
-structurally different path.
+working precision, and deliberately avoids numpy.fft (pocketfft), which
+runs every estimator transform: spectra are evaluated as direct sums so
+the estimators are checked against a structurally different path.
 
 Two comparison metrics coexist on purpose. error_stats/relative_error
 report elementwise relative errors with a floored denominator, the form

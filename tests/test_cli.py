@@ -65,6 +65,33 @@ def test_fam_input_length_mismatch(tmp_path, capsys):
     assert rc == 3
 
 
+def test_truncated_iq_file_exits_3(tmp_path, capsys):
+    # 512 whole samples plus 3 stray bytes used to read as 512 samples, exit 0
+    iq = tmp_path / "cut.iq"
+    scdio.write_iq(iq, np.ones(512, dtype=np.complex64))
+    with open(iq, "ab") as fh:
+        fh.write(b"\x00" * 3)
+    out = tmp_path / "o.scd1"
+    rc = main(["fam", "-i", str(iq), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(iq) in err and str(512 * 8 + 3) in err
+    assert not out.exists()
+
+
+def test_ten_byte_iq_file_is_a_data_error(tmp_path, capsys):
+    # used to read as one sample
+    iq = tmp_path / "ten.iq"
+    iq.write_bytes(b"\x00" * 10)
+    with pytest.raises(sk.DataError, match="10 bytes"):
+        scdio.read_iq(iq)
+    out = tmp_path / "o.scd1"
+    rc = main(["fam", "-i", str(iq), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    assert "10 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimator,n,np_channels", [("fam", 512, 64), ("ssca", 4096, 32)])
 def test_non_finite_input_is_a_data_error(tmp_path, capsys, estimator, n, np_channels):
     x = np.ones(n, dtype=np.complex64)
