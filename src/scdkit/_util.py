@@ -34,6 +34,19 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def default_split(n: int, np_channels: int) -> tuple[int, int]:
+    """Balanced SSCA stage sizes (M1, M2) for M1 * M2 = n.
+
+    Nudged so stage 2 is a multiple of the channelizer size and neither
+    stage exceeds 1024 points; shared by SscaConfig and the planner.
+    """
+    log2n = n.bit_length() - 1
+    m2 = 1 << ((log2n + 1) // 2)
+    m2 = max(m2, np_channels, n // 1024)
+    m2 = min(m2, 1024)
+    return n // m2, m2
+
+
 def require_finite(x: np.ndarray) -> None:
     """Raise DataError if any sample is NaN or infinite.
 

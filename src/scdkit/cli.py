@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = psub.add_parser("ssca")
     ps.add_argument("--n", type=int, default=1 << 20)
     ps.add_argument("--np", type=int, default=64)
-    ps.add_argument("--m1", type=int, default=1024)
+    ps.add_argument("--m1", type=int, default=None,
+                    help="stage-1 size (default: balanced split for --n and --np)")
     ps.set_defaults(func=cmd_plan, estimator="ssca")
 
     b = sub.add_parser("bench", help="time an estimator on synthetic input")

@@ -19,7 +19,16 @@ from .errors import DimensionError
 F_RANGE = (-0.5, 0.5)
 ALPHA_RANGE = (-1.0, 1.0)
 
-_GRID_CHUNK = 1 << 22  # bins processed per rasterization chunk
+# Bins per rasterization block. The lattice is cut over rows and columns,
+# so one block's float64/int64 scratch buffers (512 KiB each) stay in cache
+# even when a single row holds 2^20 bins.
+_GRID_CHUNK = 1 << 16
+
+
+def block_shape(rows: int, cols: int) -> tuple[int, int]:
+    """(rows, cols) of a lattice block of at most _GRID_CHUNK bins."""
+    col_block = min(cols, _GRID_CHUNK)
+    return min(rows, max(1, _GRID_CHUNK // col_block)), col_block
 
 
 @dataclass
@@ -92,16 +101,34 @@ def scd_to_grid(est: ScdEstimate, n_f_bins: int, n_alpha_bins: int) -> np.ndarra
     a_width = (a_hi - a_lo) / n_alpha_bins
     grid = np.zeros(n_alpha_bins * n_f_bins, dtype=np.float64)
 
-    rows_per_chunk = max(1, _GRID_CHUNK // cols)
-    off = est.col_offsets[None, :]
-    for r0, r1 in block_ranges(rows, rows_per_chunk):
-        f = est.f_base[r0:r1, None] + est.f_slope * off
-        a = est.alpha_base[r0:r1, None] + est.alpha_slope * off
-        fi = np.clip(((f - f_lo) / f_width).astype(np.int64), 0, n_f_bins - 1)
-        ai = np.clip(((a - a_lo) / a_width).astype(np.int64), 0, n_alpha_bins - 1)
-        ai *= n_f_bins
-        ai += fi  # flat cell index, row-major like the reshaped grid
-        vals = est.values[r0:r1].ravel().astype(np.float64, copy=False)
-        # one 1-D index and float64 values keep np.maximum.at on numpy's fast path
-        np.maximum.at(grid, ai.ravel(), vals)
+    row_block, col_block = block_shape(rows, cols)
+    size = row_block * col_block
+    coord, vals = np.empty(size), np.empty(size)
+    fi, ai = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    for c0, c1 in block_ranges(cols, col_block):
+        f_off = est.f_slope * est.col_offsets[c0:c1]
+        a_off = est.alpha_slope * est.col_offsets[c0:c1]
+        for r0, r1 in block_ranges(rows, row_block):
+            n = (r1 - r0) * (c1 - c0)
+            _cell_index(est.f_base[r0:r1], f_off, f_lo, f_width, n_f_bins, coord[:n], fi[:n])
+            _cell_index(est.alpha_base[r0:r1], a_off, a_lo, a_width, n_alpha_bins,
+                        coord[:n], ai[:n])
+            ai[:n] *= n_f_bins
+            ai[:n] += fi[:n]  # flat cell index, row-major like the reshaped grid
+            vals[:n].reshape(r1 - r0, c1 - c0)[...] = est.values[r0:r1, c0:c1]
+            # one 1-D index and float64 values keep np.maximum.at on numpy's fast path
+            np.maximum.at(grid, ai[:n], vals[:n])
     return grid.reshape(n_alpha_bins, n_f_bins)
+
+
+def _cell_index(base, off, lo, width, n_cells, coord, out) -> None:
+    """out = clip(int((base[:, None] + off - lo) / width), 0, n_cells - 1).
+
+    Computed in place in the 1-D scratch buffers coord and out, one
+    expression at a time in the order of the plain form.
+    """
+    c = np.add(base[:, None], off, out=coord.reshape(base.size, off.size))
+    c -= lo
+    c /= width
+    out[...] = coord  # float64 -> int64 truncates toward zero, like astype
+    np.clip(out, 0, n_cells - 1, out=out)

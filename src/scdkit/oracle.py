@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import block_ranges
 from .errors import CapacityError, ConfigurationError, DimensionError, DomainError
-from .estimate import ScdEstimate
+from .estimate import ScdEstimate, block_shape
 from .fam import FamConfig
 from .signal import WindowSpec, window_array
 from .ssca import SscaConfig
@@ -227,13 +227,24 @@ def alpha_profile(est: ScdEstimate, n_alpha_bins: int) -> AlphaProfile:
     d = 2.0 / (n_alpha_bins - 1)
     values = np.zeros(n_alpha_bins, dtype=np.float64)
     rows, cols = est.values.shape
-    rows_per_chunk = max(1, _STAT_CHUNK // cols)
-    for r0, r1 in block_ranges(rows, rows_per_chunk):
-        a = est.alpha_base[r0:r1, None] + est.alpha_slope * est.col_offsets[None, :]
-        idx = np.clip(np.rint((a + 1.0) / d).astype(np.int64), 0, n_alpha_bins - 1)
-        vals = est.values[r0:r1].ravel().astype(np.float64, copy=False)
-        # values already in float64 keep np.maximum.at on numpy's fast path
-        np.maximum.at(values, idx.ravel(), vals)
+    row_block, col_block = block_shape(rows, cols)
+    size = row_block * col_block
+    coord, vals, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
+    for c0, c1 in block_ranges(cols, col_block):
+        a_off = est.alpha_slope * est.col_offsets[c0:c1]
+        for r0, r1 in block_ranges(rows, row_block):
+            n = (r1 - r0) * (c1 - c0)
+            # idx = clip(rint((alpha + 1) / d), 0, n_alpha_bins - 1), in place
+            a = np.add(est.alpha_base[r0:r1, None], a_off,
+                       out=coord[:n].reshape(r1 - r0, c1 - c0))
+            a += 1.0
+            a /= d
+            np.rint(a, out=a)
+            idx[:n] = coord[:n]
+            np.clip(idx[:n], 0, n_alpha_bins - 1, out=idx[:n])
+            vals[:n].reshape(r1 - r0, c1 - c0)[...] = est.values[r0:r1, c0:c1]
+            # values already in float64 keep np.maximum.at on numpy's fast path
+            np.maximum.at(values, idx[:n], vals[:n])
     return AlphaProfile(alphas=alphas, values=values)
 
 

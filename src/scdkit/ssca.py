@@ -20,9 +20,10 @@ import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import (block_ranges, complex_dtype, is_pow2, real_dtype, require_finite,
-                    run_partitioned)
+from ._util import (block_ranges, complex_dtype, default_split, is_pow2, real_dtype,
+                    require_finite, run_partitioned)
 from .errors import CapacityError, ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
 from .fftcore import get_plan, rotation_factors, shift_indices
@@ -31,16 +32,6 @@ from .signal import WindowSpec, normalize, window_array
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
 _STRIP_ELEMS = 1 << 15       # stage-1 column strips are batched up to this many values
-
-
-def _default_split(n: int, np_channels: int) -> tuple[int, int]:
-    # balanced stage sizes, nudged so stage 2 is a multiple of the
-    # channelizer size and neither stage exceeds 1024 points
-    log2n = n.bit_length() - 1
-    m2 = 1 << ((log2n + 1) // 2)
-    m2 = max(m2, np_channels, n // 1024)
-    m2 = min(m2, 1024)
-    return n // m2, m2
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ class SscaConfig:
         if not is_pow2(self.Np) or not (1 << 5) <= self.Np <= (1 << 8):
             raise ConfigurationError("Np must be a power of two in [2^5, 2^8]")
         if self.M1 is None and self.M2 is None:
-            m1, m2 = _default_split(self.N, self.Np)
+            m1, m2 = default_split(self.N, self.Np)
             object.__setattr__(self, "M1", m1)
             object.__setattr__(self, "M2", m2)
         elif self.M1 is None:
@@ -136,9 +127,10 @@ class _CdpKernel:
         self.cfg = cfg
         self.plan = get_plan(np_ch)
         self.window = window_array(cfg.a_window, np_ch).astype(rdt)
-        self.shift = shift_indices(np_ch)
         self.xpad = np.zeros(cfg.N + np_ch, dtype=cdt)
         self.xpad[np_ch // 2: np_ch // 2 + cfg.N] = x
+        # windows[n] is the slice centered at sample n: a view, no copy
+        self.windows = sliding_window_view(self.xpad, np_ch)[:cfg.N]
         g = window_array(cfg.g_window, cfg.N).astype(rdt)
         self.scale = np.conj(x) * g
         # down-conversion repeats with period Np in n
@@ -146,15 +138,26 @@ class _CdpKernel:
         tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), k_signed))
         self.phase_by_residue = tab.astype(cdt)
 
-    def rows(self, n_idx: np.ndarray) -> np.ndarray:
-        np_ch = self.cfg.Np
-        fr = self.xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
-        fr *= self.window[None, :]
-        spec = self.plan.execute(fr, axis=1)
-        spec = spec[:, self.shift]
-        spec *= self.phase_by_residue[n_idx % np_ch]
-        spec *= self.scale[n_idx][:, None]
-        return spec
+    def rows(self, c0: int, c1: int, stride: int) -> np.ndarray:
+        """CDP rows n = c + m*stride for c in [c0, c1) and m in [0, N/stride).
+
+        Returned shaped (c1 - c0, N // stride, Np). stride = N gives the
+        consecutive rows c0..c1; stride = M2 gives stage-1 column strips.
+        stride is a multiple of Np, so every row of column c shares the
+        down-conversion phase of residue c % Np, and every input is a view.
+        """
+        n, np_ch = self.cfg.N, self.cfg.Np
+        per_col, h = n // stride, np_ch // 2
+        windows = self.windows.reshape(per_col, stride, np_ch)[:, c0:c1].transpose(1, 0, 2)
+        fr = np.multiply(windows, self.window, order="C")
+        spec = self.plan.execute(fr.reshape(-1, np_ch), axis=1).reshape(c1 - c0, per_col, np_ch)
+        # fft shift (swap the two Np halves) fused with the down-conversion
+        phase = self.phase_by_residue[np.arange(c0, c1) % np_ch][:, None, :]
+        out = np.empty_like(spec)
+        np.multiply(spec[..., h:], phase[..., :h], out=out[..., :h])
+        np.multiply(spec[..., :h], phase[..., h:], out=out[..., h:])
+        out *= self.scale.reshape(per_col, stride)[:, c0:c1].T[:, :, None]
+        return out
 
 
 def _prepare_input(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.ndarray:
@@ -176,7 +179,7 @@ def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.nda
     out = np.empty((cfg.N, cfg.Np), dtype=complex_dtype(cfg.precision))
     block = max(1, _CDP_BLOCK_ELEMS // cfg.Np)
     for r0, r1 in block_ranges(cfg.N, block):
-        out[r0:r1] = kernel.rows(np.arange(r0, r1))
+        out[r0:r1] = kernel.rows(r0, r1, cfg.N)[:, 0]
     return out
 
 
@@ -243,24 +246,24 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, stage1: np.ndarray) -> n
     # column m2; small strips are batched so the loop runs fewer times
     width = max(1, _STRIP_ELEMS // (m1 * np_ch))
     for c0, c1 in block_ranges(m2, width):
-        cols = np.arange(c0, c1)
-        n_idx = cols[:, None] + np.arange(m1) * m2
-        strips = kernel.rows(n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
-        s1 = plan1.execute(strips, axis=1)
-        s1 *= rotation_factors(m1, cols, n, cdt).T[:, :, None]
+        s1 = plan1.execute(kernel.rows(c0, c1, m2), axis=1)
+        s1 *= rotation_factors(m1, np.arange(c0, c1), n, cdt).T[:, :, None]
         stage1[c0:c1] = s1
     if isinstance(stage1, np.memmap):
         stage1.flush()  # write-back errors surface here, as an OSError
 
     # stage 2: strided reads widened by the configured block factor
     values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
-    half = n // 2
+    # global bin M1*m2' + m1' sits at column M1*((m2' + M2/2) % M2) + m1'
+    # after the fft shift by N/2 (M2 is even), so the shift swaps the two
+    # M2 halves of each stage-2 block
+    placed = values.reshape(np_ch, m2, m1)
+    h = m2 // 2
     for b0, b1 in block_ranges(m1, cfg.spill_read_factor):
         s2 = plan2.execute(np.asarray(stage1[:, b0:b1, :]), axis=0)
-        # global bin b = M1*m2' + m1'
-        bins = m1 * np.arange(m2)[:, None] + np.arange(b0, b1)[None, :]
-        shifted = (bins + half) % n
-        values[:, shifted.reshape(-1)] = np.abs(s2).reshape(m2 * (b1 - b0), np_ch).T
+        mag = np.abs(s2).transpose(2, 0, 1)
+        placed[:, h:, b0:b1] = mag[:, :h]
+        placed[:, :h, b0:b1] = mag[:, h:]
     return values
 
 

@@ -200,6 +200,21 @@ def test_plan_ssca_cli(capsys):
     assert "ddr_required=true" in out
 
 
+def test_plan_ssca_default_m1_follows_n(capsys):
+    assert main(["plan", "ssca", "--n", "4096", "--np", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "m1=64" in out and "m2=64" in out
+    assert "violations=none" in out
+
+
+def test_plan_ssca_rejects_split_the_estimator_refuses(capsys):
+    # M1 = 1024 leaves M2 = 4 at N = 4096, which Np = 64 cannot divide
+    assert main(["plan", "ssca", "--n", "4096", "--np", "64", "--m1", "1024"]) == 2
+    captured = capsys.readouterr()
+    assert "M2=4" in captured.err
+    assert "violations=none" not in captured.out
+
+
 def test_plan_rejects_out_of_range(capsys):
     assert main(["plan", "fam", "--n", "2048", "--np", "512"]) == 2
 
@@ -261,6 +276,9 @@ def test_parser_defaults_follow_reference_settings():
     cfg = sk.SscaConfig(N=ssca.n, Np=ssca.np, M1=ssca.m1)
     assert (cfg.M1, cfg.M2) == (1024, 1024)
     assert ssca.mode == "2d"
+    plan = parser.parse_args(["plan", "ssca"])
+    assert (plan.n, plan.np, plan.m1) == (1 << 20, 64, None)
+    assert sk.plan_ssca(plan.n, plan.np, plan.m1).params["M1"] == 1024
     bench = parser.parse_args(["bench", "fam"])
     assert bench.repeat == 10
 

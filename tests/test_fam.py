@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,34 @@ def test_rasterizer_and_profile_match_reference(est, n_f, n_alpha, n_profile, ch
     assert grid.shape == (n_alpha, n_f) and grid.dtype == np.float64
     assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
     assert np.array_equal(profile.values, _profile_reference(est, n_profile))
+
+
+def test_rasterizer_and_profile_allocate_one_block_of_scratch():
+    # an SSCA-shaped lattice: 64 rows of 2^16 columns; the scratch of both
+    # functions is bounded by the block size, not by the estimate size
+    rows, cols = 64, 1 << 16
+    k = np.arange(rows) - rows // 2
+    est = sk.ScdEstimate(
+        values=np.random.default_rng(4).random((rows, cols), dtype=np.float32),
+        f_base=k / (2.0 * rows), alpha_base=k / float(rows),
+        col_offsets=(np.arange(cols) - cols // 2).astype(np.float64),
+        f_slope=-0.5 / cols, alpha_slope=1.0 / cols,
+    )
+    scratch = 16 * estimate._GRID_CHUNK * 8
+    assert scratch <= est.values.nbytes // 2  # a block is a fraction of the lattice
+    tracemalloc.start()
+    try:
+        grid = sk.scd_to_grid(est, 512, 1024)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        profile = sk.alpha_profile(est, 2 * cols + 1)
+        profile_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid_peak <= grid.nbytes + scratch
+    assert profile_peak <= profile.alphas.nbytes + profile.values.nbytes + scratch
+    assert np.array_equal(grid, _grid_reference(est, 512, 1024))
 
 
 def test_fam_profile_peaks_on_data_rate_comb():

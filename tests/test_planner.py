@@ -69,6 +69,27 @@ def test_plan_ssca_envelope():
         sk.plan_ssca(1 << 20, 64, 3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(12, 20), st.integers(5, 8), st.integers(1, 10))
+def test_plan_ssca_accepts_exactly_the_estimator_splits(log_n, log_np, log_m1):
+    n, np_ch, m1 = 1 << log_n, 1 << log_np, 1 << log_m1
+    try:
+        cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1)
+    except sk.ConfigurationError:
+        with pytest.raises(sk.ConfigurationError):
+            sk.plan_ssca(n, np_ch, m1)
+    else:
+        assert sk.plan_ssca(n, np_ch, m1).params["M2"] == cfg.M2
+
+
+def test_plan_ssca_default_split_matches_estimator():
+    for n in (1 << 12, 1 << 15, 1 << 20):
+        for np_ch in (32, 64, 256):
+            cfg = sk.SscaConfig(N=n, Np=np_ch)
+            report = sk.plan_ssca(n, np_ch)
+            assert (report.params["M1"], report.params["M2"]) == (cfg.M1, cfg.M2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 8), st.integers(7, 11))
 def test_plan_fam_monotone_in_n(log_np, log_n):
@@ -87,7 +108,7 @@ def test_plan_ssca_total_depends_only_on_stage_logs(log_n, log_np):
     for log_m1 in range(2, 11):
         m1 = 1 << log_m1
         m2 = n // m1
-        if m2 < 2 or m2 > 1024 or m1 > 1024:
+        if m2 < 2 or m2 > 1024 or m1 > 1024 or m2 % np_ch != 0:
             continue
         report = sk.plan_ssca(n, np_ch, m1)
         key = -(-log_m1 // 2) + -(-(log_n - log_m1) // 2)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
+from scdkit import ssca
 from scdkit._util import value_hash
+from scdkit.fftcore import shift_indices
 
 
 def _dsss(n, seed=5, snr=10.0):
@@ -74,6 +76,40 @@ def test_cdp_matches_straight_line_reference(precision, tol):
     out = sk.cdp(x, cfg)
     ref = sk.cdp_reference(x, cfg)
     assert sk.peak_relative_error(out, ref) <= tol
+
+
+def _cdp_rows_gathered(kernel, n_idx):
+    # the explicit form: gather every window element by index, then window,
+    # transform, shift, down-convert by residue and scale, row by row
+    np_ch = kernel.cfg.Np
+    fr = kernel.xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
+    fr *= kernel.window[None, :]
+    spec = kernel.plan.execute(fr, axis=1)
+    spec = spec[:, shift_indices(np_ch)]
+    spec *= kernel.phase_by_residue[n_idx % np_ch]
+    spec *= kernel.scale[n_idx][:, None]
+    return spec
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("n,np_ch,m1", [(4096, 32, 4), (4096, 32, 64), (8192, 64, 8)])
+def test_cdp_rows_equal_gathered_rows(precision, n, np_ch, m1):
+    cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, precision=precision,
+                        g_window=sk.WindowSpec("hamming", n))
+    rng = np.random.default_rng(n + m1)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    kernel = ssca._CdpKernel(ssca._prepare_input(x, cfg, True), cfg)
+    m2 = cfg.M2
+    # consecutive row blocks, as _cdp_matrix takes them (last block partial)
+    for r0, r1 in [(0, 1000), (1000, n - 7), (n - 7, n)]:
+        got = kernel.rows(r0, r1, n)
+        assert got.shape == (r1 - r0, 1, np_ch)
+        assert np.array_equal(got[:, 0], _cdp_rows_gathered(kernel, np.arange(r0, r1)))
+    # single stage-1 columns and batches of columns: rows c + m*M2
+    for c0, c1 in [(0, 1), (m2 - 1, m2), (3, 4), (0, m2 // 2), (5, m2)]:
+        n_idx = np.arange(c0, c1)[:, None] + np.arange(m1)[None, :] * m2
+        ref = _cdp_rows_gathered(kernel, n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
+        assert np.array_equal(kernel.rows(c0, c1, m2), ref)
 
 
 def test_cdp_capacity_guard():
