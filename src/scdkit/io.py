@@ -146,7 +146,8 @@ def write_pgm(path, grid: np.ndarray, log_scale: bool = False) -> None:
 
 def write_profile_csv(path, profile) -> None:
     """Write an alpha profile as 'alpha,value' rows."""
+    # Python floats format like the numpy scalars they hold, at a fraction of the cost
+    rows = zip(profile.alphas.tolist(), profile.values.tolist())
     with open(path, "w") as fh:
         fh.write("alpha,value\n")
-        for a, v in zip(profile.alphas, profile.values):
-            fh.write(f"{a:.17g},{v:.17g}\n")
+        fh.writelines(f"{a:.17g},{v:.17g}\n" for a, v in rows)

@@ -7,8 +7,10 @@ compute that transform: a direct N-point FFT per channel, and a two-stage
 M1 x M2 decomposition that streams one column strip at a time (the
 four-step scheme for FFTs in hierarchical memory). The decomposed back end
 has one code path; the in-memory cap only picks where its stage-1 output
-is stored: a plain array, or a spill file on disk past the cap. Both
-stores produce bit-identical magnitudes.
+is stored: a plain array, or a spill file on disk past the cap. The spill
+file is written with os.pwrite and read with os.preadv (POSIX), never
+mapped, so the cap bounds resident memory. Both stores produce
+bit-identical magnitudes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .signal import WindowSpec, normalize, window_array
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
 _STRIP_ELEMS = 1 << 15       # stage-1 column strips are batched up to this many values
+# stage-2 buffer rows are this many complex values longer than a block, so
+# the stage-2 FFT's column stride is not a power of two (one cache set)
+_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,10 @@ class SscaConfig:
     across stage-1 rows. mem_cap_values bounds how many complex values are
     held in memory at once. The direct back end and cdp() refuse to run past
     it; the decomposed back end then keeps its stage-1 output in a spill
-    file in spill_dir instead of an array. Either store is read back with a
-    widened stride (spill_read_factor stage-1 rows per fetch).
+    file in spill_dir instead of an array, written with os.pwrite and read
+    with os.preadv, so the cap bounds resident memory and not only the
+    array. Either store is read back with a widened stride
+    (spill_read_factor stage-1 rows per fetch).
     """
 
     N: int
@@ -238,7 +245,59 @@ def ssca_direct(
     return _estimate_from_values(values, cfg, "ssca_direct")
 
 
-def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, stage1: np.ndarray) -> np.ndarray:
+class _ArrayStore:
+    """Stage-1 output held in memory, laid out (M2, M1, Np)."""
+
+    kind = "array"
+
+    def __init__(self, shape: tuple, dtype):
+        self.a = np.empty(shape, dtype=dtype)
+
+    def write(self, c0: int, c1: int, block: np.ndarray) -> None:
+        self.a[c0:c1] = block
+
+    def read(self, b0: int, b1: int, out: np.ndarray) -> None:
+        np.copyto(out, self.a[:, b0:b1].reshape(out.shape))
+
+
+class _FileStore:
+    """Stage-1 output in a spill file, laid out (M2, M1, Np).
+
+    Column strip c0:c1 is one contiguous run of the file, written with one
+    os.pwrite; a stage-2 block b0:b1 is M2 runs of (b1-b0)*Np values, read
+    with os.preadv straight into the rows of the caller's buffer. Nothing
+    is mapped, so the file adds no resident memory.
+    """
+
+    kind = "file"
+
+    def __init__(self, fd: int, path: str, shape: tuple, dtype):
+        self.fd, self.path = fd, path
+        self.run = shape[2] * np.dtype(dtype).itemsize  # bytes of one (m2, m1) entry
+        self.row = shape[1] * self.run                   # bytes of one stage-1 column
+
+    def write(self, c0: int, c1: int, block: np.ndarray) -> None:
+        data = memoryview(np.ascontiguousarray(block).reshape(-1).view(np.uint8))
+        offset = c0 * self.row
+        while data:
+            done = os.pwrite(self.fd, data, offset)
+            if done == 0:
+                raise CapacityError(f"spill file {self.path}: write made no progress")
+            data, offset = data[done:], offset + done
+
+    def read(self, b0: int, b1: int, out: np.ndarray) -> None:
+        want = (b1 - b0) * self.run
+        for r in range(out.shape[0]):
+            offset = r * self.row + b0 * self.run
+            got = os.preadv(self.fd, [out[r]], offset)
+            if got != want:
+                # out is a reused buffer: a short read would feed stale values to the FFT
+                raise CapacityError(
+                    f"spill file {self.path}: read {got} of {want} bytes at offset {offset}"
+                )
+
+
+def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
     m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
     cdt = complex_dtype(cfg.precision)
     plan1, plan2 = get_plan(m1), get_plan(m2)
@@ -248,20 +307,23 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, stage1: np.ndarray) -> n
     for c0, c1 in block_ranges(m2, width):
         s1 = plan1.execute(kernel.rows(c0, c1, m2), axis=1)
         s1 *= rotation_factors(m1, np.arange(c0, c1), n, cdt).T[:, :, None]
-        stage1[c0:c1] = s1
-    if isinstance(stage1, np.memmap):
-        stage1.flush()  # write-back errors surface here, as an OSError
+        store.write(c0, c1, s1)
 
-    # stage 2: strided reads widened by the configured block factor
+    # stage 2: blocks of spill_read_factor stage-1 rows, fetched into one
+    # reused buffer whose rows are padded off the power-of-two stride
     values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
     # global bin M1*m2' + m1' sits at column M1*((m2' + M2/2) % M2) + m1'
     # after the fft shift by N/2 (M2 is even), so the shift swaps the two
     # M2 halves of each stage-2 block
     placed = values.reshape(np_ch, m2, m1)
     h = m2 // 2
-    for b0, b1 in block_ranges(m1, cfg.spill_read_factor):
-        s2 = plan2.execute(np.asarray(stage1[:, b0:b1, :]), axis=0)
-        mag = np.abs(s2).transpose(2, 0, 1)
+    factor = min(cfg.spill_read_factor, m1)
+    buf = np.empty((m2, factor * np_ch + _PAD), dtype=cdt)
+    for b0, b1 in block_ranges(m1, factor):
+        block = buf[:, :(b1 - b0) * np_ch]
+        store.read(b0, b1, block)
+        s2 = plan2.execute(block, axis=0)
+        mag = np.abs(s2).reshape(m2, b1 - b0, np_ch).transpose(2, 0, 1)
         placed[:, h:, b0:b1] = mag[:, :h]
         placed[:, :h, b0:b1] = mag[:, h:]
     return values
@@ -269,11 +331,11 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, stage1: np.ndarray) -> n
 
 @contextlib.contextmanager
 def _spill_file(cfg: SscaConfig, shape: tuple, dtype):
-    """Memmap of a temporary stage-1 file in the spill directory.
+    """File store on a temporary stage-1 file in the spill directory.
 
-    Free space is checked before the file exists, since a sparse memmap only
-    meets a full disk through page faults mid-write. Any OSError of the
-    file (create, map, flush) is re-raised as a CapacityError naming it.
+    Free space is checked before the file exists. Any OSError of the file
+    (create, write, read) is re-raised as a CapacityError naming it, and the
+    file is removed however the block exits.
     """
     spill_dir = cfg.spill_dir or tempfile.gettempdir()
     need = cfg.N * cfg.Np * np.dtype(dtype).itemsize
@@ -287,12 +349,12 @@ def _spill_file(cfg: SscaConfig, shape: tuple, dtype):
         fd, path = tempfile.mkstemp(suffix=".stage1", dir=spill_dir)
     except OSError as exc:
         raise CapacityError(f"cannot create a spill file in {spill_dir}: {exc}") from exc
-    os.close(fd)
     try:
-        yield np.memmap(path, dtype=dtype, mode="w+", shape=shape)
+        yield _FileStore(fd, path, shape, dtype)
     except OSError as exc:
         raise CapacityError(f"spill file {path}: {exc}") from exc
     finally:
+        os.close(fd)
         os.unlink(path)
 
 
@@ -306,8 +368,10 @@ def ssca_2dfft(
 
     CDP rows are generated one stage-1 column strip at a time, so the full
     N x Np product never exists at once. The M2 x M1 x Np stage-1 output is
-    an array when N*Np fits under mem_cap_values and a spill file past it;
-    both run the same code and give bit-identical values.
+    an array when N*Np fits under mem_cap_values and a spill file past it,
+    written with os.pwrite and read back with os.preadv; both run the same
+    code and give bit-identical values. meta records the store taken
+    ("stage1_store": "array" or "file") and the bytes spilled.
     """
     if cfg.mode != "decomposed_2d":
         raise ConfigurationError("ssca_2dfft requires cfg.mode == 'decomposed_2d'")
@@ -315,12 +379,16 @@ def ssca_2dfft(
     shape = (cfg.M2, cfg.M1, cfg.Np)
     cdt = complex_dtype(cfg.precision)
     if cfg.N * cfg.Np <= cfg.mem_cap_values:
-        values = _stream_stages(kernel, cfg, np.empty(shape, dtype=cdt))
+        store = _ArrayStore(shape, cdt)
+        values = _stream_stages(kernel, cfg, store)
+        spill_bytes = 0
     else:
-        with _spill_file(cfg, shape, cdt) as stage1:
-            values = _stream_stages(kernel, cfg, stage1)
-            del stage1  # unmap before the file is unlinked
-    return _estimate_from_values(values, cfg, "ssca_2dfft")
+        with _spill_file(cfg, shape, cdt) as store:
+            values = _stream_stages(kernel, cfg, store)
+        spill_bytes = cfg.N * cfg.Np * np.dtype(cdt).itemsize
+    est = _estimate_from_values(values, cfg, "ssca_2dfft")
+    est.meta.update(stage1_store=store.kind, spill_bytes=spill_bytes)
+    return est
 
 
 def ssca_full(

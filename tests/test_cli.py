@@ -1,3 +1,5 @@
+import errno
+import os
 import shutil
 from types import SimpleNamespace
 
@@ -131,6 +133,28 @@ def test_ssca_spill_disk_too_small_exits_3(tmp_path, capsys, monkeypatch):
     assert list(spill.iterdir()) == [] and not out.exists()
 
 
+def test_ssca_spill_disk_full_mid_write_exits_3(tmp_path, capsys, monkeypatch):
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "4096", "--seed", "2", "-o", str(iq)]) == 0
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    real_pwrite, calls = os.pwrite, []
+
+    def fill_disk(fd, data, offset):
+        calls.append(offset)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", fill_disk)
+    out = tmp_path / "o.scd1"
+    rc = main(["ssca", "-i", str(iq), "--n", "4096", "--np", "32", "--mem-cap", "1",
+               "--spill-dir", str(spill), "-o", str(out)])
+    assert rc == 3
+    assert "No space" in capsys.readouterr().err
+    assert list(spill.iterdir()) == [] and not out.exists()
+
+
 def test_scd1_roundtrip_bytes(tmp_path, capsys):
     iq = tmp_path / "x.iq"
     assert main(["gen", "--n", "512", "--seed", "1", "-o", str(iq)]) == 0
@@ -149,6 +173,18 @@ def test_scd1_rejects_bad_magic(tmp_path):
     bad.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(sk.DataError):
         scdio.read_scd1(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_profile_csv_formats_like_numpy_scalars(tmp_path, dtype):
+    special = [-0.0, np.finfo(dtype).smallest_subnormal, 1 / 3, 3.4e38,
+               np.nextafter(dtype(1), dtype(2))]
+    values = np.array(special, dtype=dtype)
+    prof = sk.AlphaProfile(alphas=values[::-1].copy(), values=values)
+    path = tmp_path / "p.csv"
+    scdio.write_profile_csv(path, prof)
+    rows = "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(prof.alphas, prof.values))
+    assert path.read_bytes() == ("alpha,value\n" + rows).encode()
 
 
 def test_compare_self_is_zero(tmp_path, capsys):

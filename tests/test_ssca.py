@@ -1,4 +1,8 @@
+import errno
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -230,13 +234,70 @@ def test_missing_spill_dir_raises(tmp_path):
 
 
 def test_spill_file_os_error_names_file(tmp_path, monkeypatch):
-    def full_disk(*args, **kwargs):
-        raise OSError(28, "No space left on device")
+    # 4096/32/M1=64 writes stage 1 in four strips: the disk fills on the second
+    real_pwrite, calls = os.pwrite, []
 
-    monkeypatch.setattr(np, "memmap", full_disk)
+    def fill_disk(fd, data, offset):
+        calls.append(offset)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", fill_disk)
     cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
     with pytest.raises(sk.CapacityError, match=rf"spill file {tmp_path}.*\.stage1.*No space"):
         sk.ssca_2dfft(_dsss(4096), cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_short_spill_writes_resume(tmp_path, monkeypatch):
+    x = _dsss(4096, seed=8)
+    expected = sk.ssca_2dfft(x, _cfg(mode="decomposed_2d")).values
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:1000], offset))
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
+    assert np.array_equal(sk.ssca_2dfft(x, cfg).values, expected)
+
+
+def test_stalled_spill_io_raises(tmp_path, monkeypatch):
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
+    real_pwrite, real_preadv = os.pwrite, os.preadv
+    # a write that makes no progress is an error, not an endless loop
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+    with pytest.raises(sk.CapacityError, match=rf"spill file {tmp_path}.*no progress"):
+        sk.ssca_2dfft(_dsss(4096), cfg)
+    monkeypatch.setattr(os, "pwrite", real_pwrite)
+    # a short read would leave stale values in the reused stage-2 buffer
+    monkeypatch.setattr(os, "preadv", lambda fd, bufs, offset: real_preadv(fd, bufs, offset) - 8)
+    with pytest.raises(sk.CapacityError, match=rf"spill file {tmp_path}.*\.stage1: read"):
+        sk.ssca_2dfft(_dsss(4096), cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spill_bounds_resident_memory(tmp_path):
+    # Past mem_cap_values the spill file must stay out of resident memory:
+    # a 2^18/64 op may raise the peak RSS by its values array and at most a
+    # quarter of the spilled bytes (a mapped file would add all of them).
+    code = f"""
+import resource, sys
+import scdkit as sk
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+def run(n, np_ch):
+    x = sk.generate_dsss_bpsk(sk.DsssBpskConfig(n_samples=n, snr_db=10.0, seed=4))
+    cfg = sk.SscaConfig(N=n, Np=np_ch, mem_cap_values=1, spill_dir={str(tmp_path)!r})
+    before = peak()
+    est = sk.ssca_2dfft(x, cfg)
+    return peak() - before, est.values.nbytes
+run(4096, 32)
+print(*run(1 << 18, 64))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    growth, values_bytes = map(int, out.split())
+    spill_bytes = (1 << 18) * 64 * 8
+    assert growth <= values_bytes + spill_bytes // 4, (growth, values_bytes)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -288,6 +349,15 @@ def test_ssca_full_dispatch():
     t = sk.ssca_full(x, _cfg(mode="decomposed_2d"))
     assert d.meta["estimator"] == "ssca_direct"
     assert t.meta["estimator"] == "ssca_2dfft"
+
+
+def test_stage1_store_recorded_in_meta(tmp_path):
+    x = _dsss(4096)
+    t = sk.ssca_full(x, _cfg(mode="decomposed_2d"))
+    s = sk.ssca_full(x, _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path)))
+    assert (t.meta["stage1_store"], t.meta["spill_bytes"]) == ("array", 0)
+    assert (s.meta["stage1_store"], s.meta["spill_bytes"]) == ("file", 4096 * 32 * 8)
+    assert value_hash(t.values) == value_hash(s.values)
 
 
 def test_ssca_to_grid_pigeonhole():
