@@ -166,9 +166,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a value below 1 is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_export_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--f-bins", type=int, default=512, help="grid columns (f axis)")
-    p.add_argument("--alpha-bins", type=int, default=1024, help="grid rows (alpha axis)")
+    p.add_argument("--f-bins", type=_positive_int, default=512, help="grid columns (f axis)")
+    p.add_argument("--alpha-bins", type=_positive_int, default=1024,
+                   help="grid rows (alpha axis)")
     p.add_argument("-o", "--output", required=True, help="SCD1 output path")
     p.add_argument("--profile-csv", help="also write the alpha profile as CSV")
     p.add_argument("--pgm", help="also write a PGM heatmap of the grid")
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs.add_argument("--m1", type=int, default=None)
     bs.set_defaults(func=cmd_bench, estimator="ssca")
     for bp in (bf, bs):
-        bp.add_argument("--repeat", type=int, default=10)
+        bp.add_argument("--repeat", type=_positive_int, default=10)
         bp.add_argument("--threads", type=int, default=1)
         bp.add_argument("--precision", default="f32", choices=("f32", "f64"))
         bp.add_argument("--seed", type=int, default=0)

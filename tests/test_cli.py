@@ -48,6 +48,39 @@ def test_usage_error_exit_code(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fam", "ssca"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_zero_f_bins_is_a_usage_error(tmp_path, capsys, command, value):
+    # rejected while parsing: the missing input would otherwise exit 3
+    out = tmp_path / "o.scd1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-i", str(tmp_path / "absent.iq"), "--f-bins", value, "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--f-bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fam", "ssca"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_zero_alpha_bins_is_a_usage_error(tmp_path, capsys, command, value):
+    out = tmp_path / "o.scd1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-i", str(tmp_path / "absent.iq"), "--alpha-bins", value,
+              "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--alpha-bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["fam", "ssca"])
+def test_zero_bench_repeat_is_a_usage_error(capsys, estimator):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", estimator, "--repeat", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--repeat" in captured.err and "run[" not in captured.out
+
+
 def test_fam_zero_input_gives_zero_grid(tmp_path, capsys):
     iq = tmp_path / "z.iq"
     scdio.write_iq(iq, np.zeros(512, dtype=np.complex64))

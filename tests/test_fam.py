@@ -332,3 +332,110 @@ def test_fam_scd_retained_bins_match_naive_dft():
         expected = np.concatenate((power[: p // 4], power[3 * p // 4:]))
         got = est.values[k * cfg.Np + l]
         assert sk.peak_relative_error(got, expected) <= 1e-12
+
+
+@st.composite
+def _monotone_lattices(draw):
+    # one to three monotone col_offsets ranges in either direction, with ties;
+    # the rng fills the long arrays, hypothesis draws the shape of the lattice
+    rows = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 1400), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces = []
+    for n in lengths:
+        ties = draw(st.sampled_from([0.0, 0.3, 0.9]))
+        steps = rng.random(n) * (rng.random(n) >= ties)
+        span = draw(st.sampled_from([0.01, 1.0, 8.0]))
+        pieces.append(draw(st.floats(-4.0, 4.0)) + draw(st.sampled_from([1.0, -1.0]))
+                      * np.cumsum(steps) * (span / n))
+    cols = sum(lengths)
+    slope = st.sampled_from([0.0, 0.25, -0.0625]) | st.floats(-0.5, 0.5)
+    coord = draw(st.sampled_from([np.float32, np.float64]))
+    base = draw(st.sampled_from([np.float32, np.float64]))
+    return sk.ScdEstimate(
+        # a few distinct magnitudes, so runs and cells hold ties
+        values=rng.choice([0.0, 0.5, 1.0, 3.0, 3.0000002], size=(rows, cols)).astype(
+            draw(st.sampled_from([np.float32, np.float64]))),
+        # coordinates reach past [-0.5, 0.5] x [-1, 1] so clipping runs
+        f_base=rng.uniform(-1.5, 1.5, rows).astype(base),
+        alpha_base=rng.uniform(-3.0, 3.0, rows).astype(base),
+        col_offsets=np.concatenate(pieces).astype(coord),
+        f_slope=draw(slope),
+        alpha_slope=draw(slope),
+    )
+
+
+def _grid_by_bins(est, n_f, n_alpha):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_RUN_MIN_MEAN", np.inf)
+        return sk.scd_to_grid(est, n_f, n_alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monotone_lattices(), st.integers(1, 64), st.integers(1, 64),
+       st.sampled_from([0, 1, 8, 64]))
+def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, run_min_mean):
+    # a low threshold sends most ranges down the runs path, the rest bin by bin
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_RUN_MIN_MEAN", run_min_mean)
+        grid = sk.scd_to_grid(est, n_f, n_alpha)
+    assert np.array_equal(grid, _grid_by_bins(est, n_f, n_alpha))
+    if est.f_base.dtype == np.float64:
+        # the reference computes float32 bases in float32, the rasterizer in float64
+        assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("far", [np.inf, -np.inf, 1e300])
+@pytest.mark.parametrize("f_slope", [0.1, 0.0])
+def test_rasterizer_by_runs_leaves_unconvertible_ranges_to_bins(far, f_slope):
+    # ranges whose coordinates are infinite or past int64 convert to cells
+    # non-monotonically, so they must be scattered bin by bin; with f_slope
+    # 0, an infinite offset also makes the f cell differ within a row
+    rng = np.random.default_rng(9)
+    offsets = np.concatenate((np.linspace(-3.0, 3.0, 700), [far] * 5,
+                              np.linspace(2.0, -2.0, 600), [far, 1.0, far]))
+    est = sk.ScdEstimate(
+        values=rng.random((3, offsets.size)),
+        f_base=np.array([-0.2, 0.0, 0.3]), alpha_base=np.array([0.5, -0.25, 0.0]),
+        col_offsets=offsets, f_slope=f_slope, alpha_slope=-0.3,
+    )
+    ran = []
+    scatter_runs = estimate._scatter_runs
+
+    def recording_scatter_runs(grid, est, f_axis, a_axis, starts, *rest):
+        ran.append(starts)
+        scatter_runs(grid, est, f_axis, a_axis, starts, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_RUN_MIN_MEAN", 1)
+        mp.setattr(estimate, "_scatter_runs", recording_scatter_runs)
+        grid = sk.scd_to_grid(est, 40, 70)
+    assert len(ran) == 1 and 0 < ran[0].size  # some ranges did run by runs
+    assert np.array_equal(grid, _grid_by_bins(est, 40, 70))
+    assert np.array_equal(grid, _grid_reference(est, 40, 70))
+
+
+@pytest.mark.parametrize("rows,cols,order", [(64, 1 << 16, "F"), (2, 1 << 22, "C")])
+def test_rasterizer_by_runs_allocates_one_block_of_scratch(rows, cols, order):
+    # column-major values: a hidden copy to C order would cost values.nbytes
+    # (16 MiB), twice the scratch bound; long rows: scratch per column
+    # (4M of them) would exceed it too
+    k = np.arange(rows) - rows // 2
+    values = np.random.default_rng(5).random((rows, cols), dtype=np.float32)
+    est = sk.ScdEstimate(
+        values=np.asarray(values, order=order), f_base=k / (2.0 * rows),
+        alpha_base=k / float(rows), col_offsets=(np.arange(cols) - cols // 2).astype(np.float64),
+        f_slope=-0.5 / cols, alpha_slope=1.0 / cols,
+    )
+    assert est.values.flags.c_contiguous == (order == "C")
+    scratch = 16 * estimate._GRID_CHUNK * 8
+    assert scratch <= est.values.nbytes // 2
+    tracemalloc.start()
+    try:
+        grid = sk.scd_to_grid(est, 512, 1024)
+        grid_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid_peak <= grid.nbytes + scratch
+    assert np.array_equal(grid, _grid_by_bins(est, 512, 1024))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
-from scdkit import ssca
+from scdkit import estimate, ssca
 from scdkit._util import value_hash
 from scdkit.fftcore import shift_indices
 
@@ -366,6 +366,22 @@ def test_ssca_to_grid_pigeonhole():
     assert grid.shape == (128, 64)
     assert np.count_nonzero(grid) <= est.n_bins
     assert grid.max() == est.values.max()
+
+
+@pytest.mark.parametrize("n,np_ch,m1", [(4096, 32, 4), (1 << 16, 64, 256)])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_ssca_grid_by_runs_is_bit_identical(n, np_ch, m1, precision):
+    # the SSCA strips are one monotone range each: the default threshold,
+    # runs everywhere (0) and bins everywhere (inf) give the same bytes
+    est = sk.ssca_2dfft(_dsss(n), _cfg(N=n, Np=np_ch, M1=m1, M2=n // m1,
+                                       mode="decomposed_2d", precision=precision))
+    for n_f, n_alpha in ((512, 1024), (32, 64)):
+        hashes = set()
+        for run_min_mean in (estimate._RUN_MIN_MEAN, 0, np.inf):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimate, "_RUN_MIN_MEAN", run_min_mean)
+                hashes.add(value_hash(sk.ssca_to_grid(est, n_f, n_alpha)))
+        assert len(hashes) == 1
 
 
 def test_ssca_2dfft_zero_input():
