@@ -15,13 +15,11 @@ from .errors import (
     DomainError,
     ScdError,
 )
-from .estimate import ALPHA_RANGE, F_RANGE, ScdEstimate, scd_to_grid
+from .estimate import ALPHA_RANGE, F_RANGE, AlphaProfile, ScdEstimate, alpha_profile, scd_to_grid
 from .fam import FamConfig, demodulate, fam_full, fam_scd, fam_to_grid, frame
 from .fftcore import FftPlan, fft, fft_decomposed, fft_shift, get_plan, transpose
 from .oracle import (
-    AlphaProfile,
     ErrorStats,
-    alpha_profile,
     cdp_reference,
     demodulate_reference,
     detect_cycle_frequencies,

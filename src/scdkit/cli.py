@@ -22,9 +22,9 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .estimate import ALPHA_RANGE, F_RANGE
+from .estimate import ALPHA_RANGE, F_RANGE, alpha_profile, check_grid_capacity
 from .fam import FamConfig, fam_full, fam_to_grid
-from .oracle import alpha_profile, error_stats
+from .oracle import error_stats
 from .planner import format_report, plan_fam, plan_ssca
 from .signal import DsssBpskConfig, WindowSpec, generate_dsss_bpsk
 from .ssca import SscaConfig, ssca_full, ssca_to_grid
@@ -41,10 +41,6 @@ def _load_input(path, expected_n: int) -> np.ndarray:
     if x.shape[0] != expected_n:
         raise DataError(f"{path}: holds {x.shape[0]} samples but --n is {expected_n}")
     return x
-
-
-def _window_spec(kind: str, length: int, atten_db: float) -> WindowSpec:
-    return WindowSpec(kind, length, atten_db)
 
 
 def _export(est, grid_fn, args) -> None:
@@ -80,9 +76,10 @@ def cmd_fam(args) -> int:
     cfg = FamConfig(
         N=args.n,
         Np=args.np,
-        a_window=_window_spec(args.a_window, args.np, args.atten_db),
+        a_window=WindowSpec(args.a_window, args.np, args.atten_db),
         precision=args.precision,
     )
+    check_grid_capacity(args.f_bins, args.alpha_bins)
     x = _load_input(args.input, args.n)
     t0 = time.perf_counter()
     est = fam_full(x, cfg, threads=args.threads)
@@ -98,12 +95,13 @@ def cmd_ssca(args) -> int:
         N=args.n,
         Np=args.np,
         M1=args.m1,
-        a_window=_window_spec(args.a_window, args.np, args.atten_db),
+        a_window=WindowSpec(args.a_window, args.np, args.atten_db),
         mode=_MODE_NAMES[args.mode],
         precision=args.precision,
         mem_cap_values=args.mem_cap,
         spill_dir=args.spill_dir,
     )
+    check_grid_capacity(args.f_bins, args.alpha_bins)
     x = _load_input(args.input, args.n)
     t0 = time.perf_counter()
     est = ssca_full(x, cfg, threads=args.threads)

@@ -10,7 +10,7 @@ P-point FFT, and keeps the central half of the squared magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class FamConfig:
 
     L and P are pinned to the channelizer size: L = Np/4 and P = 4N/Np.
     The hardware envelope (Np in [16, 256], N in [128, 4096]) is enforced by
-    the planner and the CLI; the estimator itself accepts any structurally
-    valid power-of-two combination.
+    the planner only; the estimator, and the CLI that runs it, accept any
+    structurally valid power-of-two combination.
     """
 
     N: int
@@ -69,9 +69,6 @@ class FamConfig:
     def delta_alpha(self) -> float:
         """Cycle-frequency resolution of the P-point refinement stage."""
         return 1.0 / self.N
-
-    def with_precision(self, precision: str) -> "FamConfig":
-        return replace(self, precision=precision)
 
 
 def frame(x: np.ndarray, cfg: FamConfig) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import block_ranges
 from .errors import CapacityError, ConfigurationError, DimensionError, DomainError
-from .estimate import ScdEstimate, block_shape
+from .estimate import AlphaProfile, ScdEstimate
 from .fam import FamConfig
 from .signal import WindowSpec, window_array
 from .ssca import SscaConfig
@@ -198,54 +198,6 @@ def peak_relative_error(test: np.ndarray, reference: np.ndarray) -> float:
     if max_ref == 0.0:
         return 0.0 if max_diff == 0.0 else np.inf
     return max_diff / max_ref
-
-
-@dataclass(frozen=True)
-class AlphaProfile:
-    """Max SCD magnitude over f at each point of an ascending alpha grid."""
-
-    alphas: np.ndarray
-    values: np.ndarray
-
-    @property
-    def spacing(self) -> float:
-        return float(self.alphas[1] - self.alphas[0])
-
-
-def alpha_profile(est: ScdEstimate, n_alpha_bins: int) -> AlphaProfile:
-    """Collapse an estimate to max-over-f on a uniform alpha grid in [-1, 1].
-
-    Grid points sit at -1 + i * 2/(n-1); each estimate bin contributes to
-    its nearest grid point. With n_alpha_bins = 2N + 1 the grid lands
-    exactly on the estimators' own alpha lattice.
-    """
-    if n_alpha_bins < 2:
-        raise ConfigurationError("n_alpha_bins must be >= 2")
-    if est.n_bins == 0:
-        raise DimensionError("estimate is empty")
-    alphas = np.linspace(-1.0, 1.0, n_alpha_bins)
-    d = 2.0 / (n_alpha_bins - 1)
-    values = np.zeros(n_alpha_bins, dtype=np.float64)
-    rows, cols = est.values.shape
-    row_block, col_block = block_shape(rows, cols)
-    size = row_block * col_block
-    coord, vals, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.int64)
-    for c0, c1 in block_ranges(cols, col_block):
-        a_off = est.alpha_slope * est.col_offsets[c0:c1]
-        for r0, r1 in block_ranges(rows, row_block):
-            n = (r1 - r0) * (c1 - c0)
-            # idx = clip(rint((alpha + 1) / d), 0, n_alpha_bins - 1), in place
-            a = np.add(est.alpha_base[r0:r1, None], a_off,
-                       out=coord[:n].reshape(r1 - r0, c1 - c0))
-            a += 1.0
-            a /= d
-            np.rint(a, out=a)
-            idx[:n] = coord[:n]
-            np.clip(idx[:n], 0, n_alpha_bins - 1, out=idx[:n])
-            vals[:n].reshape(r1 - r0, c1 - c0)[...] = est.values[r0:r1, c0:c1]
-            # values already in float64 keep np.maximum.at on numpy's fast path
-            np.maximum.at(values, idx[:n], vals[:n])
-    return AlphaProfile(alphas=alphas, values=values)
 
 
 def detect_cycle_frequencies(profile: AlphaProfile, rel_threshold: float) -> list[float]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import default_split, is_pow2
+from ._util import is_pow2
 from .errors import ConfigurationError
+from .ssca import SscaConfig
 
 _COMPLEX_BYTES = 8  # single-precision complex
 
@@ -108,29 +109,12 @@ def plan_ssca(
     multiplication plus ceil(log2(Np)/2) for its FFT; the two-stage
     transform needs ceil(log2(M1)/2) + ceil(log2(M2)/2) plus one tile for
     the rotation factors. Off-chip memory is required once the intermediate
-    matrix exceeds 2^20 complex values. m1=None takes the estimator's
-    balanced split; a split the estimator refuses (M2 not a multiple of
-    Np) is refused here too.
+    matrix exceeds 2^20 complex values. The parameters are checked by
+    SscaConfig, so m1=None takes the estimator's balanced split and a
+    split the estimator refuses is refused here too.
     """
-    if not (is_pow2(n) and is_pow2(np_channels)):
-        raise ConfigurationError("N and Np must be powers of two")
-    if not (1 << 5) <= np_channels <= (1 << 8):
-        raise ConfigurationError("planner envelope: Np must lie in [2^5, 2^8]")
-    if not (1 << 12) <= n <= (1 << 20):
-        raise ConfigurationError("planner envelope: N must lie in [2^12, 2^20]")
-    if m1 is None:
-        m1, _ = default_split(n, np_channels)
-    if not is_pow2(m1):
-        raise ConfigurationError("M1 must be a power of two")
-    if n % m1 != 0:
-        raise ConfigurationError(f"M1={m1} does not divide N={n}")
-    m2 = n // m1
-    if m1 > 1024 or m2 > 1024 or m1 < 2 or m2 < 2:
-        raise ConfigurationError("stage sizes M1 and M2 must lie in [2, 1024]")
-    if m2 % np_channels != 0:
-        raise ConfigurationError(
-            f"M2={m2} is not a multiple of Np={np_channels}; the estimator refuses this split"
-        )
+    cfg = SscaConfig(N=n, Np=np_channels, M1=m1)
+    m1, m2 = cfg.M1, cfg.M2
     a_cdp = 1 + math.ceil(math.log2(np_channels) / 2)
     a_2dfft = math.ceil(math.log2(m1) / 2) + 1 + math.ceil(math.log2(m2) / 2)
     stage_tiles = {"cdp": a_cdp, "fft_2d": a_2dfft}

@@ -37,6 +37,7 @@ _STRIP_ELEMS = 1 << 15       # stage-1 column strips are batched up to this many
 # stage-2 buffer rows are this many complex values longer than a block, so
 # the stage-2 FFT's column stride is not a power of two (one cache set)
 _PAD = 8
+_READ_ROWS = 8  # stage-1 rows fetched per stage-2 block
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,7 @@ class SscaConfig:
     it; the decomposed back end then keeps its stage-1 output in a spill
     file in spill_dir instead of an array, written with os.pwrite and read
     with os.preadv, so the cap bounds resident memory and not only the
-    array. Either store is read back with a widened stride
-    (spill_read_factor stage-1 rows per fetch).
+    array. Either store is read back _READ_ROWS stage-1 rows per fetch.
     """
 
     N: int
@@ -65,7 +65,6 @@ class SscaConfig:
     precision: str = "f32"
     mem_cap_values: int = 1 << 24
     spill_dir: str | None = None
-    spill_read_factor: int = 8
 
     def __post_init__(self):
         if not is_pow2(self.N) or not (1 << 12) <= self.N <= (1 << 20):
@@ -76,10 +75,10 @@ class SscaConfig:
             m1, m2 = default_split(self.N, self.Np)
             object.__setattr__(self, "M1", m1)
             object.__setattr__(self, "M2", m2)
-        elif self.M1 is None:
-            object.__setattr__(self, "M1", self.N // self.M2)
+        elif self.M1 is None:  # max(): a split below 1 fails is_pow2, not the division
+            object.__setattr__(self, "M1", self.N // max(self.M2, 1))
         elif self.M2 is None:
-            object.__setattr__(self, "M2", self.N // self.M1)
+            object.__setattr__(self, "M2", self.N // max(self.M1, 1))
         if not (is_pow2(self.M1) and is_pow2(self.M2)):
             raise ConfigurationError("M1 and M2 must be powers of two")
         if self.M1 * self.M2 != self.N:
@@ -88,16 +87,14 @@ class SscaConfig:
             raise ConfigurationError("stage sizes M1 and M2 must be <= 1024")
         if self.M2 % self.Np != 0:
             raise ConfigurationError(
-                "M2 must be divisible by Np (the simplified per-row down-conversion "
-                "term is only valid then)"
+                f"M2={self.M2} must be divisible by Np={self.Np} (the simplified "
+                "per-row down-conversion term is only valid then)"
             )
         if self.mode not in ("direct_1d", "decomposed_2d"):
             raise ConfigurationError("mode must be 'direct_1d' or 'decomposed_2d'")
         complex_dtype(self.precision)
         if self.mem_cap_values < 1:
             raise ConfigurationError("mem_cap_values must be positive")
-        if self.spill_read_factor < 1:
-            raise ConfigurationError("spill_read_factor must be >= 1")
         if self.a_window is None:
             object.__setattr__(self, "a_window", WindowSpec("chebyshev", self.Np))
         if self.g_window is None:
@@ -114,8 +111,6 @@ class SscaConfig:
     def with_mode(self, mode: str) -> "SscaConfig":
         return replace(self, mode=mode)
 
-    def with_precision(self, precision: str) -> "SscaConfig":
-        return replace(self, precision=precision)
 
 
 class _CdpKernel:
@@ -309,7 +304,7 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
         s1 *= rotation_factors(m1, np.arange(c0, c1), n, cdt).T[:, :, None]
         store.write(c0, c1, s1)
 
-    # stage 2: blocks of spill_read_factor stage-1 rows, fetched into one
+    # stage 2: blocks of _READ_ROWS stage-1 rows, fetched into one
     # reused buffer whose rows are padded off the power-of-two stride
     values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
     # global bin M1*m2' + m1' sits at column M1*((m2' + M2/2) % M2) + m1'
@@ -317,7 +312,7 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
     # M2 halves of each stage-2 block
     placed = values.reshape(np_ch, m2, m1)
     h = m2 // 2
-    factor = min(cfg.spill_read_factor, m1)
+    factor = min(_READ_ROWS, m1)
     buf = np.empty((m2, factor * np_ch + _PAD), dtype=cdt)
     for b0, b1 in block_ranges(m1, factor):
         block = buf[:, :(b1 - b0) * np_ch]

@@ -72,6 +72,17 @@ def test_zero_alpha_bins_is_a_usage_error(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fam", "ssca"])
+def test_oversized_grid_exits_3_before_reading_input(tmp_path, capsys, command):
+    # the input does not exist: the grid bound must fail first, and nothing is written
+    code = main([command, "-i", str(tmp_path / "absent.iq"), "--f-bins", "1000000",
+                 "--alpha-bins", "999999", "-o", str(tmp_path / "o.scd1"),
+                 "--profile-csv", str(tmp_path / "p.csv"), "--pgm", str(tmp_path / "o.pgm")])
+    assert code == 3
+    assert "999999 alpha bins x 1000000 f bins" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("estimator", ["fam", "ssca"])
 def test_zero_bench_repeat_is_a_usage_error(capsys, estimator):
     with pytest.raises(SystemExit) as exc:

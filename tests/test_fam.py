@@ -301,6 +301,19 @@ def test_rasterizer_and_profile_allocate_one_block_of_scratch():
     assert np.array_equal(grid, _grid_reference(est, 512, 1024))
 
 
+def test_rasterizer_refuses_an_oversized_grid_before_allocating():
+    est = sk.ScdEstimate(values=np.ones((1, 1)), f_base=np.zeros(1), alpha_base=np.zeros(1),
+                         col_offsets=np.zeros(1), f_slope=0.0, alpha_slope=0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sk.CapacityError, match="8193 alpha bins x 8192 f bins"):
+            sk.scd_to_grid(est, 1 << 13, (1 << 13) + 1)  # one row past 2^26 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_fam_profile_peaks_on_data_rate_comb():
     # noise-free DSSS: every detected cycle frequency falls on the
     # data-rate comb at chip_rate / processing_gain
@@ -372,17 +385,24 @@ def _grid_by_bins(est, n_f, n_alpha):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_monotone_lattices(), st.integers(1, 64), st.integers(1, 64),
+@given(_monotone_lattices(), st.integers(1, 64), st.integers(1, 64), st.integers(2, 300),
        st.sampled_from([0, 1, 8, 64]))
-def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, run_min_mean):
-    # a low threshold sends most ranges down the runs path, the rest bin by bin
+def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, n_profile, run_min_mean):
+    # a low threshold sends most ranges down the runs path, the rest bin by bin;
+    # the profile rounds to its nearest cell where the grid truncates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_RUN_MIN_MEAN", run_min_mean)
         grid = sk.scd_to_grid(est, n_f, n_alpha)
+        profile = sk.alpha_profile(est, n_profile)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_RUN_MIN_MEAN", np.inf)
+        profile_by_bins = sk.alpha_profile(est, n_profile)
     assert np.array_equal(grid, _grid_by_bins(est, n_f, n_alpha))
+    assert np.array_equal(profile.values, profile_by_bins.values)
     if est.f_base.dtype == np.float64:
-        # the reference computes float32 bases in float32, the rasterizer in float64
+        # the references compute float32 bases in float32, the rasterizer in float64
         assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
+        assert np.array_equal(profile.values, _profile_reference(est, n_profile))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -403,9 +423,9 @@ def test_rasterizer_by_runs_leaves_unconvertible_ranges_to_bins(far, f_slope):
     ran = []
     scatter_runs = estimate._scatter_runs
 
-    def recording_scatter_runs(grid, est, f_axis, a_axis, starts, *rest):
+    def recording_scatter_runs(grid, est, axes, starts, *rest):
         ran.append(starts)
-        scatter_runs(grid, est, f_axis, a_axis, starts, *rest)
+        scatter_runs(grid, est, axes, starts, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_RUN_MIN_MEAN", 1)

@@ -1,17 +1,25 @@
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args, cwd):
-    env = dict(os.environ)
+def _env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_script(name, *args, cwd):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_resource_plan_sweep_runs(tmp_path):
@@ -27,3 +35,21 @@ def test_cycle_profile_demo_writes_heatmap_and_profile(tmp_path):
     assert "detected" in proc.stdout
     for name in ("scd.pgm", "profile.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("workload", ["fam_small", "ssca_inmem_2e18"])
+def test_perfbench_traced_worker_runs(tmp_path, workload):
+    # a traced run makes every scdkit call the benchmark makes: the threads=
+    # keywords, FftPlan.execute, alpha_profile, and on SSCA cdp and ssca_direct
+    work, out = tmp_path / "work", tmp_path / "worker.json"
+    work.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", "--trace", "1", "--work", str(work),
+         "--spawn-ts", repr(time.monotonic()), "--out", str(out)],
+        cwd=tmp_path, env=_env(TMPDIR=str(work)), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert any(op["traced"] for op in result["ops"])
+    assert all(op["ok"] for op in result["ops"]), result["ops"]
+    assert result["output_sha256"] and result["grid_sha256"]

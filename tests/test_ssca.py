@@ -44,6 +44,16 @@ def test_config_validation():
         sk.SscaConfig(N=4096, Np=32, mode="sideways")
 
 
+@pytest.mark.parametrize("m1,m2", [(0, None), (None, 0), (-4, None)])
+def test_config_rejects_a_split_below_one(m1, m2):
+    # N // 0 must not escape as ZeroDivisionError; plan_ssca validates the same way
+    with pytest.raises(sk.ConfigurationError):
+        sk.SscaConfig(N=4096, Np=32, M1=m1, M2=m2)
+    if m2 is None:
+        with pytest.raises(sk.ConfigurationError):
+            sk.plan_ssca(4096, 32, m1)
+
+
 def test_default_split_is_valid():
     for n in (1 << 12, 1 << 14, 1 << 17, 1 << 20):
         for np_ch in (32, 64, 256):
@@ -172,10 +182,13 @@ def test_spilled_matches_in_memory_bitwise():
     assert np.array_equal(in_mem.values, spilled.values)
 
 
-def test_spill_read_factor_does_not_change_results():
+def test_spill_read_factor_does_not_change_results(monkeypatch):
     x = _dsss(4096, seed=6)
-    a = sk.ssca_2dfft(x, _cfg(mode="decomposed_2d", mem_cap_values=1, spill_read_factor=1))
-    b = sk.ssca_2dfft(x, _cfg(mode="decomposed_2d", mem_cap_values=1, spill_read_factor=16))
+    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1)
+    monkeypatch.setattr(ssca, "_READ_ROWS", 1)
+    a = sk.ssca_2dfft(x, cfg)
+    monkeypatch.setattr(ssca, "_READ_ROWS", 16)
+    b = sk.ssca_2dfft(x, cfg)
     assert np.array_equal(a.values, b.values)
 
 
@@ -202,7 +215,9 @@ def test_streamed_envelope_properties(point):
     x = _dsss(n, seed=seed)
     cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision="f32")
     in_memory = sk.ssca_2dfft(x, cfg)
-    spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1, spill_read_factor=read_factor))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ssca, "_READ_ROWS", read_factor)
+        spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1))
     assert np.array_equal(in_memory.values, spilled.values)
     direct = sk.ssca_direct(x, cfg.with_mode("direct_1d"))
     assert sk.peak_relative_error(in_memory.values, direct.values) <= 1e-5
