@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=int, default=2048)
     f.add_argument("--np", type=int, default=256)
     f.add_argument("--precision", default="f32", choices=("f32", "f64"))
-    f.add_argument("--threads", type=int, default=1)
+    f.add_argument("--threads", type=_positive_int, default=1)
     _add_window_flags(f)
     _add_export_flags(f)
     f.set_defaults(func=cmd_fam)
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stage-1 size (default: balanced split for --n and --np)")
     s.add_argument("--mode", default="2d", choices=sorted(_MODE_NAMES))
     s.add_argument("--precision", default="f32", choices=("f32", "f64"))
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=_positive_int, default=1)
     s.add_argument("--mem-cap", type=int, default=1 << 24,
                    help="complex values held in memory before spilling")
     s.add_argument("--spill-dir", default=None)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     bs.set_defaults(func=cmd_bench, estimator="ssca")
     for bp in (bf, bs):
         bp.add_argument("--repeat", type=_positive_int, default=10)
-        bp.add_argument("--threads", type=int, default=1)
+        bp.add_argument("--threads", type=_positive_int, default=1)
         bp.add_argument("--precision", default="f32", choices=("f32", "f64"))
         bp.add_argument("--seed", type=int, default=0)
 

@@ -139,10 +139,13 @@ def alpha_profile(est: ScdEstimate, n_alpha_bins: int) -> AlphaProfile:
 
     Grid points sit at -1 + i * 2/(n-1); each estimate bin contributes to
     its nearest grid point. With n_alpha_bins = 2N + 1 the grid lands
-    exactly on the estimators' own alpha lattice.
+    exactly on the estimators' own alpha lattice. A profile of more than
+    _GRID_CELLS_MAX points raises CapacityError before anything is allocated.
     """
     if n_alpha_bins < 2:
         raise ConfigurationError("n_alpha_bins must be >= 2")
+    if n_alpha_bins > _GRID_CELLS_MAX:
+        raise CapacityError(f"an alpha profile of {n_alpha_bins} points exceeds {_GRID_CELLS_MAX}")
     if est.n_bins == 0:
         raise DimensionError("estimate is empty")
     a_lo, a_hi = ALPHA_RANGE

@@ -4,13 +4,13 @@ The channelizer data product multiplies each sliding complex demodulate by
 the conjugate of the raw signal; one length-N transform per channel then
 covers a strip of the (f, alpha) plane. Two interchangeable back ends
 compute that transform: a direct N-point FFT per channel, and a two-stage
-M1 x M2 decomposition that streams one column strip at a time (the
-four-step scheme for FFTs in hierarchical memory). The decomposed back end
-has one code path; the in-memory cap only picks where its stage-1 output
-is stored: a plain array, or a spill file on disk past the cap. The spill
-file is written with os.pwrite and read with os.preadv (POSIX), never
-mapped, so the cap bounds resident memory. Both stores produce
-bit-identical magnitudes.
+M1 x M2 decomposition (the four-step scheme for FFTs in hierarchical
+memory) whose stage 1 streams column strips into a channel-major
+(Np, M2, M1) store, the layout of the values, and whose stage 2 transforms
+one whole channel at a time. The store is a plain array, or a spill file
+past the in-memory cap, written with os.pwrite and read with one os.preadv
+per channel (POSIX), never mapped, so the cap bounds resident memory. Both
+stores produce bit-identical magnitudes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import contextlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,16 +28,15 @@ from ._util import (block_ranges, complex_dtype, default_split, is_pow2, real_dt
                     require_finite, run_partitioned)
 from .errors import CapacityError, ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import get_plan, rotation_factors, shift_indices
+from .fftcore import get_plan, rotation_factors
 from .signal import WindowSpec, normalize, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
-_STRIP_ELEMS = 1 << 15       # stage-1 column strips are batched up to this many values
-# stage-2 buffer rows are this many complex values longer than a block, so
-# the stage-2 FFT's column stride is not a power of two (one cache set)
+_STRIP_ELEMS = 1 << 15       # values per stage-1 strip batch and per stage-2 FFT block
+# stage-2 buffer rows are this many complex values longer than M1, so the
+# stage-2 FFT's column stride is not a power of two (one cache set)
 _PAD = 8
-_READ_ROWS = 8  # stage-1 rows fetched per stage-2 block
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class SscaConfig:
     held in memory at once. The direct back end and cdp() refuse to run past
     it; the decomposed back end then keeps its stage-1 output in a spill
     file in spill_dir instead of an array, written with os.pwrite and read
-    with os.preadv, so the cap bounds resident memory and not only the
-    array. Either store is read back _READ_ROWS stage-1 rows per fetch.
+    with os.preadv, so the cap bounds resident memory, not only the array.
     """
 
     N: int
@@ -103,14 +101,6 @@ class SscaConfig:
             raise ConfigurationError("a_window length must equal Np")
         if self.g_window.length != self.N:
             raise ConfigurationError("g_window length must equal N")
-
-    @property
-    def delta_alpha(self) -> float:
-        return 1.0 / self.N
-
-    def with_mode(self, mode: str) -> "SscaConfig":
-        return replace(self, mode=mode)
-
 
 
 class _CdpKernel:
@@ -226,22 +216,24 @@ def ssca_direct(
         raise ConfigurationError("ssca_direct requires cfg.mode == 'direct_1d'")
     cdp_mat = _cdp_matrix(x, cfg, normalize_input)
     plan = get_plan(cfg.N)
-    shift = shift_indices(cfg.N)
     values = np.empty((cfg.Np, cfg.N), dtype=real_dtype(cfg.precision))
     cols_per_task = max(1, _DIRECT_COL_ELEMS // cfg.N)
+    h = cfg.N // 2
 
     def worker(bounds):
         k0, k1 = bounds
         cols = np.ascontiguousarray(cdp_mat[:, k0:k1].T)
         spec = plan.execute(cols, axis=1)
-        values[k0:k1] = np.abs(spec)[:, shift]
+        # the fft shift by N/2 swaps the two halves of each channel
+        np.abs(spec[:, h:], out=values[k0:k1, :h])
+        np.abs(spec[:, :h], out=values[k0:k1, h:])
 
     run_partitioned(block_ranges(cfg.Np, cols_per_task), worker, threads)
     return _estimate_from_values(values, cfg, "ssca_direct")
 
 
 class _ArrayStore:
-    """Stage-1 output held in memory, laid out (M2, M1, Np)."""
+    """Stage-1 output held in memory, laid out (Np, M2, M1)."""
 
     kind = "array"
 
@@ -249,47 +241,47 @@ class _ArrayStore:
         self.a = np.empty(shape, dtype=dtype)
 
     def write(self, c0: int, c1: int, block: np.ndarray) -> None:
-        self.a[c0:c1] = block
+        self.a[:, c0:c1] = block.transpose(2, 0, 1)
 
-    def read(self, b0: int, b1: int, out: np.ndarray) -> None:
-        np.copyto(out, self.a[:, b0:b1].reshape(out.shape))
+    def read(self, k: int, out: np.ndarray) -> None:
+        np.copyto(out, self.a[k])
 
 
 class _FileStore:
-    """Stage-1 output in a spill file, laid out (M2, M1, Np).
+    """Stage-1 output in a spill file, laid out (Np, M2, M1).
 
-    Column strip c0:c1 is one contiguous run of the file, written with one
-    os.pwrite; a stage-2 block b0:b1 is M2 runs of (b1-b0)*Np values, read
-    with os.preadv straight into the rows of the caller's buffer. Nothing
-    is mapped, so the file adds no resident memory.
+    Column strip c0:c1 is one contiguous run per channel, written with
+    os.pwrite; channel k is one contiguous run of the file, read with one
+    os.preadv straight into the M2 rows of the caller's buffer. Nothing is
+    mapped, so the file adds no resident memory.
     """
 
     kind = "file"
 
     def __init__(self, fd: int, path: str, shape: tuple, dtype):
         self.fd, self.path = fd, path
-        self.run = shape[2] * np.dtype(dtype).itemsize  # bytes of one (m2, m1) entry
-        self.row = shape[1] * self.run                   # bytes of one stage-1 column
+        self.col = shape[2] * np.dtype(dtype).itemsize  # bytes of one stage-1 column
+        self.channel = shape[1] * self.col             # bytes of one channel
 
     def write(self, c0: int, c1: int, block: np.ndarray) -> None:
-        data = memoryview(np.ascontiguousarray(block).reshape(-1).view(np.uint8))
-        offset = c0 * self.row
-        while data:
-            done = os.pwrite(self.fd, data, offset)
-            if done == 0:
-                raise CapacityError(f"spill file {self.path}: write made no progress")
-            data, offset = data[done:], offset + done
+        runs = np.ascontiguousarray(block.transpose(2, 0, 1)).view(np.uint8)
+        for k, run in enumerate(runs.reshape(len(runs), -1)):
+            data, offset = memoryview(run), k * self.channel + c0 * self.col
+            while data:
+                done = os.pwrite(self.fd, data, offset)
+                if done == 0:
+                    raise CapacityError(f"spill file {self.path}: write made no progress")
+                data, offset = data[done:], offset + done
 
-    def read(self, b0: int, b1: int, out: np.ndarray) -> None:
-        want = (b1 - b0) * self.run
-        for r in range(out.shape[0]):
-            offset = r * self.row + b0 * self.run
-            got = os.preadv(self.fd, [out[r]], offset)
-            if got != want:
-                # out is a reused buffer: a short read would feed stale values to the FFT
-                raise CapacityError(
-                    f"spill file {self.path}: read {got} of {want} bytes at offset {offset}"
-                )
+    def read(self, k: int, out: np.ndarray) -> None:
+        # one buffer per row: M2 <= 1024 keeps this within Linux's IOV_MAX of 1024
+        offset = k * self.channel
+        got = os.preadv(self.fd, list(out), offset)
+        if got != self.channel:
+            # out is a reused buffer: a short read would feed stale values to the FFT
+            raise CapacityError(
+                f"spill file {self.path}: read {got} of {self.channel} bytes at offset {offset}"
+            )
 
 
 def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
@@ -304,24 +296,22 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
         s1 *= rotation_factors(m1, np.arange(c0, c1), n, cdt).T[:, :, None]
         store.write(c0, c1, s1)
 
-    # stage 2: blocks of _READ_ROWS stage-1 rows, fetched into one
-    # reused buffer whose rows are padded off the power-of-two stride
-    values = np.empty((np_ch, n), dtype=real_dtype(cfg.precision))
+    # stage 2: one channel at a time, fetched into one reused (M2, M1)
+    # buffer whose rows are padded off the power-of-two stride
+    values = np.empty((np_ch, m2, m1), dtype=real_dtype(cfg.precision))
     # global bin M1*m2' + m1' sits at column M1*((m2' + M2/2) % M2) + m1'
     # after the fft shift by N/2 (M2 is even), so the shift swaps the two
-    # M2 halves of each stage-2 block
-    placed = values.reshape(np_ch, m2, m1)
+    # M2 halves of each channel
     h = m2 // 2
-    factor = min(_READ_ROWS, m1)
-    buf = np.empty((m2, factor * np_ch + _PAD), dtype=cdt)
-    for b0, b1 in block_ranges(m1, factor):
-        block = buf[:, :(b1 - b0) * np_ch]
-        store.read(b0, b1, block)
-        s2 = plan2.execute(block, axis=0)
-        mag = np.abs(s2).reshape(m2, b1 - b0, np_ch).transpose(2, 0, 1)
-        placed[:, h:, b0:b1] = mag[:, :h]
-        placed[:, :h, b0:b1] = mag[:, h:]
-    return values
+    buf = np.empty((m2, m1 + _PAD), dtype=cdt)[:, :m1]
+    cols = max(1, _STRIP_ELEMS // m2)
+    for k in range(np_ch):
+        store.read(k, buf)
+        for b0, b1 in block_ranges(m1, cols):
+            s2 = plan2.execute(buf[:, b0:b1], axis=0)
+            np.abs(s2[:h], out=values[k, h:, b0:b1])
+            np.abs(s2[h:], out=values[k, :h, b0:b1])
+    return values.reshape(np_ch, n)
 
 
 @contextlib.contextmanager
@@ -362,7 +352,7 @@ def ssca_2dfft(
     stage-2 M2-point FFTs, and the bin map g = M1*m2' + m1' - N/2.
 
     CDP rows are generated one stage-1 column strip at a time, so the full
-    N x Np product never exists at once. The M2 x M1 x Np stage-1 output is
+    N x Np product never exists at once. The Np x M2 x M1 stage-1 output is
     an array when N*Np fits under mem_cap_values and a spill file past it,
     written with os.pwrite and read back with os.preadv; both run the same
     code and give bit-identical values. meta records the store taken
@@ -371,7 +361,7 @@ def ssca_2dfft(
     if cfg.mode != "decomposed_2d":
         raise ConfigurationError("ssca_2dfft requires cfg.mode == 'decomposed_2d'")
     kernel = _CdpKernel(_prepare_input(x, cfg, normalize_input), cfg)
-    shape = (cfg.M2, cfg.M1, cfg.Np)
+    shape = (cfg.Np, cfg.M2, cfg.M1)
     cdt = complex_dtype(cfg.precision)
     if cfg.N * cfg.Np <= cfg.mem_cap_values:
         store = _ArrayStore(shape, cdt)

@@ -92,6 +92,20 @@ def test_zero_bench_repeat_is_a_usage_error(capsys, estimator):
     assert "--repeat" in captured.err and "run[" not in captured.out
 
 
+@pytest.mark.parametrize("command", [["fam"], ["ssca"], ["bench", "fam"], ["bench", "ssca"]])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    # rejected while parsing: the missing input would otherwise exit 3
+    out = tmp_path / "o.scd1"
+    files = [] if command[0] == "bench" else ["-i", str(tmp_path / "absent.iq"), "-o", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + files + ["--threads", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--threads" in captured.err and "run[" not in captured.out
+    assert not out.exists()
+
+
 def test_fam_zero_input_gives_zero_grid(tmp_path, capsys):
     iq = tmp_path / "z.iq"
     scdio.write_iq(iq, np.zeros(512, dtype=np.complex64))

@@ -314,6 +314,20 @@ def test_rasterizer_refuses_an_oversized_grid_before_allocating():
     assert peak < 1 << 20
 
 
+def test_alpha_profile_refuses_too_many_points_before_allocating():
+    est = sk.ScdEstimate(values=np.ones((1, 1)), f_base=np.zeros(1), alpha_base=np.zeros(1),
+                         col_offsets=np.zeros(1), f_slope=0.0, alpha_slope=0.0)
+    tracemalloc.start()
+    try:
+        for n in ((1 << 26) + 1, 10**12):
+            with pytest.raises(sk.CapacityError, match=f"alpha profile of {n} points"):
+                sk.alpha_profile(est, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_fam_profile_peaks_on_data_rate_comb():
     # noise-free DSSS: every detected cycle frequency falls on the
     # data-rate comb at chip_rate / processing_gain

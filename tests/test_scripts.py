@@ -28,6 +28,17 @@ def test_resource_plan_sweep_runs(tmp_path):
     assert "FAM" in proc.stdout and "SSCA" in proc.stdout
 
 
+def test_accuracy_experiment_runs(tmp_path):
+    # default sizes: FAM (2048, 256) and SSCA 2^14/64, single against double
+    proc = _run_script("accuracy_experiment.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    mean_rel = {line.split()[0]: float(line.split()[-3])
+                for line in proc.stdout.splitlines()[1:]}
+    assert mean_rel.keys() == {"fam", "ssca"}, proc.stdout
+    assert mean_rel["fam"] <= 2e-4
+    assert mean_rel["ssca"] <= 1e-5
+
+
 def test_cycle_profile_demo_writes_heatmap_and_profile(tmp_path):
     # signal -> SSCA -> ssca_to_grid -> PGM, and alpha_profile -> CSV
     proc = _run_script("cycle_profile_demo.py", "--n", "4096", "--np", "32", cwd=tmp_path)

@@ -182,14 +182,27 @@ def test_spilled_matches_in_memory_bitwise():
     assert np.array_equal(in_mem.values, spilled.values)
 
 
-def test_spill_read_factor_does_not_change_results(monkeypatch):
+def test_spill_strip_size_does_not_change_results(monkeypatch):
+    # one column per stage-1 strip and per stage-2 FFT block, against the default
     x = _dsss(4096, seed=6)
     cfg = _cfg(mode="decomposed_2d", mem_cap_values=1)
-    monkeypatch.setattr(ssca, "_READ_ROWS", 1)
+    monkeypatch.setattr(ssca, "_STRIP_ELEMS", 1)
     a = sk.ssca_2dfft(x, cfg)
-    monkeypatch.setattr(ssca, "_READ_ROWS", 16)
+    monkeypatch.setattr(ssca, "_STRIP_ELEMS", 1 << 15)
     b = sk.ssca_2dfft(x, cfg)
     assert np.array_equal(a.values, b.values)
+
+
+def test_spill_reads_each_channel_once(monkeypatch):
+    real_preadv, calls = os.preadv, []
+
+    def counting_preadv(fd, bufs, offset):
+        calls.append(len(bufs))
+        return real_preadv(fd, bufs, offset)
+
+    monkeypatch.setattr(os, "preadv", counting_preadv)
+    sk.ssca_2dfft(_dsss(4096), _cfg(mode="decomposed_2d", mem_cap_values=1))
+    assert calls == [64] * 32  # Np reads of M2 rows each
 
 
 def test_spill_file_cleaned_up(tmp_path):
@@ -205,21 +218,22 @@ def _envelope(draw):
     # M2 % Np == 0 and M1, M2 <= 1024
     log_m2 = draw(st.integers(max(log_np, log_n - 10), 10))
     m1 = 1 << (log_n - log_m2)
-    return 1 << log_n, 1 << log_np, m1, draw(st.integers(1, m1)), draw(st.integers(0, 1 << 16))
+    strip_elems = draw(st.integers(1, 1 << 16))
+    return 1 << log_n, 1 << log_np, m1, strip_elems, draw(st.integers(0, 1 << 16))
 
 
 @settings(max_examples=6, deadline=None)
 @given(_envelope())
 def test_streamed_envelope_properties(point):
-    n, np_ch, m1, read_factor, seed = point
+    n, np_ch, m1, strip_elems, seed = point
     x = _dsss(n, seed=seed)
     cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision="f32")
     in_memory = sk.ssca_2dfft(x, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ssca, "_READ_ROWS", read_factor)
+        mp.setattr(ssca, "_STRIP_ELEMS", strip_elems)
         spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1))
     assert np.array_equal(in_memory.values, spilled.values)
-    direct = sk.ssca_direct(x, cfg.with_mode("direct_1d"))
+    direct = sk.ssca_direct(x, replace(cfg, mode="direct_1d"))
     assert sk.peak_relative_error(in_memory.values, direct.values) <= 1e-5
 
 
@@ -249,7 +263,8 @@ def test_missing_spill_dir_raises(tmp_path):
 
 
 def test_spill_file_os_error_names_file(tmp_path, monkeypatch):
-    # 4096/32/M1=64 writes stage 1 in four strips: the disk fills on the second
+    # 4096/32/M1=64 writes stage 1 in four strips of one run per channel:
+    # the disk fills on the second run of the first strip
     real_pwrite, calls = os.pwrite, []
 
     def fill_disk(fd, data, offset):
