@@ -3,8 +3,8 @@
 Every transform runs on numpy's pocketfft in the dtype it is given:
 complex64 in single precision, complex128 in double. Plans are immutable,
 cached per power-of-two size, and keep the shared size envelope and
-length checks. All transforms are unscaled forward DFTs:
-X[k] = sum_n x[n] exp(-i 2 pi n k / size).
+length checks. execute() is the unscaled forward DFT
+X[k] = sum_n x[n] exp(-i 2 pi n k / size); forward() returns exactly X / size.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ MAX_STAGE_SIZE = 1 << 10  # per-stage cap for the decomposed transform
 class FftPlan:
     """One validated forward FFT size.
 
-    Immutable after construction and safe to share across threads; execute()
-    is vectorized over every axis except the transformed one.
+    Immutable after construction and safe to share across threads; forward()
+    and execute() are vectorized over every axis except the transformed one.
     """
 
     def __init__(self, size: int):
@@ -35,8 +35,14 @@ class FftPlan:
             )
         self.size = size
 
-    def execute(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Forward FFT along one axis of a complex array."""
+    def forward(self, a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward FFT along one axis, scaled by 1/size: exactly X / size.
+
+        Scaling by a power of two commutes with every rounding step, so
+        forward(a) * size equals execute(a) bit for bit. A caller that
+        multiplies the result by a table anyway can fold size into the table
+        and save a pass. out may be a (strided) view, including of a itself.
+        """
         a = np.asarray(a)
         if a.shape[axis] != self.size:
             raise DimensionError(
@@ -46,8 +52,12 @@ class FftPlan:
             a = a.astype(np.complex128)
         # norm="forward" passes 1/size as a scalar of the input's precision, so
         # complex64 runs pocketfft's single-precision loop; the default norm's
-        # int 1 would upcast it to double. Scaling by 2^-k and back is exact.
-        y = np.fft.fft(a, axis=axis, norm="forward")
+        # int 1 would upcast it to double.
+        return np.fft.fft(a, axis=axis, norm="forward", out=out)
+
+    def execute(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Unscaled forward FFT along one axis of a complex array."""
+        y = self.forward(a, axis)
         y *= self.size
         return y
 

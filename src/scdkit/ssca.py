@@ -7,10 +7,19 @@ compute that transform: a direct N-point FFT per channel, and a two-stage
 M1 x M2 decomposition (the four-step scheme for FFTs in hierarchical
 memory) whose stage 1 streams column strips into a channel-major
 (Np, M2, M1) store, the layout of the values, and whose stage 2 transforms
-one whole channel at a time. The store is a plain array, or a spill file
-past the in-memory cap, written with os.pwrite and read with one os.preadv
-per channel (POSIX), never mapped, so the cap bounds resident memory. Both
-stores produce bit-identical magnitudes.
+one whole channel at a time, in place. Stage 1 stages groups of columns
+channel-major, so the store is a plain array written by slice copies, or a
+spill file past the in-memory cap, written with one os.pwrite per channel
+per group and read with one os.preadv per channel (POSIX), never mapped, so
+the cap bounds resident memory. Both stores produce bit-identical
+magnitudes.
+
+The CDP rows and both stages of the decomposed back end run their FFTs
+forward-scaled (FftPlan.forward, X / size), and each size rides in a small
+table that is multiplied in anyway: Np in the down-conversion phase table,
+N = M1*M2 in the rotation factors. Scaling by a power of two is exact, so
+the values equal those of unscaled FFTs bit for bit, with no rescaling pass
+over the data.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from .signal import WindowSpec, normalize, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
-_STRIP_ELEMS = 1 << 15       # values per stage-1 strip batch and per stage-2 FFT block
+_STRIP_ELEMS = 1 << 15       # values per stage-1 strip batch
+_GROUP_ELEMS = 1 << 20       # stage-1 values staged channel-major per store write
 # stage-2 buffer rows are this many complex values longer than M1, so the
 # stage-2 FFT's column stride is not a power of two (one cache set)
 _PAD = 8
@@ -125,10 +135,11 @@ class _CdpKernel:
         self.windows = sliding_window_view(self.xpad, np_ch)[:cfg.N]
         g = window_array(cfg.g_window, cfg.N).astype(rdt)
         self.scale = np.conj(x) * g
-        # down-conversion repeats with period Np in n
+        # down-conversion repeats with period Np in n; the table carries the
+        # Np that rows() leaves out of its forward-scaled (1/Np) FFT
         k_signed = np.arange(np_ch) - np_ch // 2
         tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), k_signed))
-        self.phase_by_residue = tab.astype(cdt)
+        self.phase_by_residue = (tab * np_ch).astype(cdt)
 
     def rows(self, c0: int, c1: int, stride: int) -> np.ndarray:
         """CDP rows n = c + m*stride for c in [c0, c1) and m in [0, N/stride).
@@ -141,8 +152,8 @@ class _CdpKernel:
         n, np_ch = self.cfg.N, self.cfg.Np
         per_col, h = n // stride, np_ch // 2
         windows = self.windows.reshape(per_col, stride, np_ch)[:, c0:c1].transpose(1, 0, 2)
-        fr = np.multiply(windows, self.window, order="C")
-        spec = self.plan.execute(fr.reshape(-1, np_ch), axis=1).reshape(c1 - c0, per_col, np_ch)
+        spec = np.multiply(windows, self.window, order="C")
+        self.plan.forward(spec, axis=2, out=spec)
         # fft shift (swap the two Np halves) fused with the down-conversion
         phase = self.phase_by_residue[np.arange(c0, c1) % np_ch][:, None, :]
         out = np.empty_like(spec)
@@ -233,7 +244,11 @@ def ssca_direct(
 
 
 class _ArrayStore:
-    """Stage-1 output held in memory, laid out (Np, M2, M1)."""
+    """Stage-1 output held in memory, laid out (Np, M2, M1).
+
+    A channel-major block of columns c0:c1 is one slice copy in; channel k
+    is one copy out.
+    """
 
     kind = "array"
 
@@ -241,7 +256,7 @@ class _ArrayStore:
         self.a = np.empty(shape, dtype=dtype)
 
     def write(self, c0: int, c1: int, block: np.ndarray) -> None:
-        self.a[:, c0:c1] = block.transpose(2, 0, 1)
+        self.a[:, c0:c1] = block
 
     def read(self, k: int, out: np.ndarray) -> None:
         np.copyto(out, self.a[k])
@@ -250,10 +265,10 @@ class _ArrayStore:
 class _FileStore:
     """Stage-1 output in a spill file, laid out (Np, M2, M1).
 
-    Column strip c0:c1 is one contiguous run per channel, written with
-    os.pwrite; channel k is one contiguous run of the file, read with one
-    os.preadv straight into the M2 rows of the caller's buffer. Nothing is
-    mapped, so the file adds no resident memory.
+    A channel-major block of columns c0:c1 is one contiguous run per
+    channel, each written with os.pwrite; channel k is one contiguous run
+    of the file, read with one os.preadv straight into the M2 rows of the
+    caller's buffer. Nothing is mapped, so the file adds no resident memory.
     """
 
     kind = "file"
@@ -264,9 +279,9 @@ class _FileStore:
         self.channel = shape[1] * self.col             # bytes of one channel
 
     def write(self, c0: int, c1: int, block: np.ndarray) -> None:
-        runs = np.ascontiguousarray(block.transpose(2, 0, 1)).view(np.uint8)
-        for k, run in enumerate(runs.reshape(len(runs), -1)):
-            data, offset = memoryview(run), k * self.channel + c0 * self.col
+        for k, run in enumerate(block):
+            data = memoryview(run.reshape(-1).view(np.uint8))
+            offset = k * self.channel + c0 * self.col
             while data:
                 done = os.pwrite(self.fd, data, offset)
                 if done == 0:
@@ -288,29 +303,41 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
     m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
     cdt = complex_dtype(cfg.precision)
     plan1, plan2 = get_plan(m1), get_plan(m2)
+    # Both stage FFTs run forward-scaled and the rotation table carries
+    # N = M1*M2 for both: stage 1 stores M2 times the unscaled values, and
+    # the forward-scaled M2-point FFT of M2*s is exactly the FFT of s.
     # stage 1: M1 x Np column strips, CDP rows n = M2*m1 + m2 for each
-    # column m2; small strips are batched so the loop runs fewer times
+    # column m2; small strips are batched so the loop runs fewer times.
+    # The rotation multiply writes each group of columns channel-major into
+    # one staging block, which the store takes in whole runs per channel.
     width = max(1, _STRIP_ELEMS // (m1 * np_ch))
-    for c0, c1 in block_ranges(m2, width):
-        s1 = plan1.execute(kernel.rows(c0, c1, m2), axis=1)
-        s1 *= rotation_factors(m1, np.arange(c0, c1), n, cdt).T[:, :, None]
-        store.write(c0, c1, s1)
+    group = min(m2, max(1, _GROUP_ELEMS // (m1 * np_ch)))
+    stage = np.empty((np_ch, group, m1), dtype=cdt)
+    for g0, g1 in block_ranges(m2, group):
+        for c0 in range(g0, g1, width):
+            c1 = min(c0 + width, g1)
+            s1 = kernel.rows(c0, c1, m2)
+            plan1.forward(s1, axis=1, out=s1)
+            rot = rotation_factors(m1, np.arange(c0, c1), n, cdt)
+            rot *= n
+            np.multiply(s1.transpose(2, 0, 1), rot.T, out=stage[:, c0 - g0:c1 - g0])
+        store.write(g0, g1, stage[:, :g1 - g0])
+    del stage, s1  # stage 1's buffers go before the values are allocated
 
     # stage 2: one channel at a time, fetched into one reused (M2, M1)
-    # buffer whose rows are padded off the power-of-two stride
+    # buffer whose rows are padded off the power-of-two stride and
+    # transformed in place
     values = np.empty((np_ch, m2, m1), dtype=real_dtype(cfg.precision))
     # global bin M1*m2' + m1' sits at column M1*((m2' + M2/2) % M2) + m1'
     # after the fft shift by N/2 (M2 is even), so the shift swaps the two
     # M2 halves of each channel
     h = m2 // 2
     buf = np.empty((m2, m1 + _PAD), dtype=cdt)[:, :m1]
-    cols = max(1, _STRIP_ELEMS // m2)
     for k in range(np_ch):
         store.read(k, buf)
-        for b0, b1 in block_ranges(m1, cols):
-            s2 = plan2.execute(buf[:, b0:b1], axis=0)
-            np.abs(s2[:h], out=values[k, h:, b0:b1])
-            np.abs(s2[h:], out=values[k, :h, b0:b1])
+        plan2.forward(buf, axis=0, out=buf)
+        np.abs(buf[:h], out=values[k, h:])
+        np.abs(buf[h:], out=values[k, :h])
     return values.reshape(np_ch, n)
 
 
@@ -354,7 +381,8 @@ def ssca_2dfft(
     CDP rows are generated one stage-1 column strip at a time, so the full
     N x Np product never exists at once. The Np x M2 x M1 stage-1 output is
     an array when N*Np fits under mem_cap_values and a spill file past it,
-    written with os.pwrite and read back with os.preadv; both run the same
+    written with os.pwrite in one run per channel per group of columns and
+    read back with os.preadv; both run the same
     code and give bit-identical values. meta records the store taken
     ("stage1_store": "array" or "file") and the bytes spilled.
     """

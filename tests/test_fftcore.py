@@ -97,6 +97,50 @@ def test_execute_double_equals_unscaled_numpy_fft(axis):
     assert np.array_equal(out, np.fft.fft(x, axis=axis))
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_forward_times_size_equals_execute(axis, dtype):
+    # scaling by 1/size and back is exact, so the folds callers make are too
+    rng = np.random.default_rng(29)
+    shape = (16, 8, 32)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+    plan = sk.get_plan(shape[axis])
+    out = plan.forward(x, axis=axis)
+    assert out.dtype == dtype
+    assert np.array_equal(out * plan.size, plan.execute(x, axis=axis))
+
+
+def test_forward_in_place_on_a_strided_view():
+    rng = np.random.default_rng(31)
+    buf = np.zeros((64, 40), dtype=np.complex64)
+    buf[:, :32] = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
+    view = buf[:, 4:20]  # padded rows: neither axis is contiguous in whole
+    expected = sk.get_plan(64).forward(view.copy(), axis=0)
+    untouched = buf.copy()
+    result = sk.get_plan(64).forward(view, axis=0, out=view)
+    assert np.shares_memory(result, buf)
+    assert np.array_equal(buf[:, 4:20], expected)
+    assert np.array_equal(np.delete(buf, np.s_[4:20], axis=1),
+                          np.delete(untouched, np.s_[4:20], axis=1))
+
+
+def test_forward_single_precision_allocates_no_double_copy():
+    # as for execute: complex64 stays on pocketfft's single-precision loop
+    rng = np.random.default_rng(19)
+    shape = (1024, 8, 64)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    plan = sk.get_plan(1024)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = plan.forward(x, axis=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.complex64
+    assert peak <= 1.5 * x.nbytes
+
+
 def test_fft_shift_examples():
     assert np.array_equal(sk.fft_shift(np.array([0, 1, 2, 3])), np.array([2, 3, 0, 1]))
     assert np.array_equal(

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import scdkit as sk
 from scdkit import estimate, ssca
-from scdkit._util import value_hash
-from scdkit.fftcore import shift_indices
+from scdkit._util import block_ranges, complex_dtype, real_dtype, value_hash
+from scdkit.fftcore import rotation_factors, shift_indices
 
 
 def _dsss(n, seed=5, snr=10.0):
@@ -94,11 +94,12 @@ def test_cdp_matches_straight_line_reference(precision, tol):
 
 def _cdp_rows_gathered(kernel, n_idx):
     # the explicit form: gather every window element by index, then window,
-    # transform, shift, down-convert by residue and scale, row by row
+    # transform, shift, down-convert by residue and scale, row by row (the
+    # phase table carries the Np that the forward-scaled FFT leaves out)
     np_ch = kernel.cfg.Np
     fr = kernel.xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
     fr *= kernel.window[None, :]
-    spec = kernel.plan.execute(fr, axis=1)
+    spec = kernel.plan.forward(fr, axis=1)
     spec = spec[:, shift_indices(np_ch)]
     spec *= kernel.phase_by_residue[n_idx % np_ch]
     spec *= kernel.scale[n_idx][:, None]
@@ -124,6 +125,54 @@ def test_cdp_rows_equal_gathered_rows(precision, n, np_ch, m1):
         n_idx = np.arange(c0, c1)[:, None] + np.arange(m1)[None, :] * m2
         ref = _cdp_rows_gathered(kernel, n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
         assert np.array_equal(kernel.rows(c0, c1, m2), ref)
+
+
+def _unfused_2dfft_values(x, cfg):
+    # the decomposed back end in its unfused pass order: every FFT unscaled
+    # (execute), the plain down-conversion phase and rotation factors,
+    # stage 1 in column strips into an (Np, M2, M1) array, stage 2 one
+    # channel at a time
+    kernel = ssca._CdpKernel(ssca._prepare_input(x, cfg, True), cfg)
+    n, np_ch, m1, m2 = cfg.N, cfg.Np, cfg.M1, cfg.M2
+    cdt, h = complex_dtype(cfg.precision), np_ch // 2
+    tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), np.arange(np_ch) - h))
+    tab = tab.astype(cdt)
+    windows = kernel.windows.reshape(m1, m2, np_ch)
+    scale = kernel.scale.reshape(m1, m2)
+    stage1 = np.empty((np_ch, m2, m1), dtype=cdt)
+    for c0, c1 in block_ranges(m2, max(1, (1 << 15) // (m1 * np_ch))):
+        cols = np.arange(c0, c1)
+        fr = np.multiply(windows[:, c0:c1].transpose(1, 0, 2), kernel.window, order="C")
+        spec = sk.get_plan(np_ch).execute(fr, axis=2)
+        rows = np.empty_like(spec)
+        phase = tab[cols % np_ch][:, None, :]
+        np.multiply(spec[..., h:], phase[..., :h], out=rows[..., :h])
+        np.multiply(spec[..., :h], phase[..., h:], out=rows[..., h:])
+        rows *= scale[:, c0:c1].T[:, :, None]
+        s1 = sk.get_plan(m1).execute(rows, axis=1)
+        s1 *= rotation_factors(m1, cols, n, cdt).T[:, :, None]
+        stage1[:, c0:c1] = s1.transpose(2, 0, 1)
+    values = np.empty((np_ch, m2, m1), dtype=real_dtype(cfg.precision))
+    for k in range(np_ch):
+        s2 = sk.get_plan(m2).execute(stage1[k], axis=0)
+        np.abs(s2[:m2 // 2], out=values[k, m2 // 2:])
+        np.abs(s2[m2 // 2:], out=values[k, :m2 // 2])
+    return values.reshape(np_ch, n)
+
+
+@pytest.mark.parametrize("spilled", [False, True], ids=["array", "file"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("n,np_ch,m1", [(4096, 32, 4), (4096, 32, 64), (8192, 64, 8),
+                                        (1 << 14, 32, 16), (1 << 16, 64, 256)])
+def test_rescale_folds_are_exact(tmp_path, n, np_ch, m1, precision, spilled):
+    # the FFTs run forward-scaled and their sizes ride in the phase and
+    # rotation tables: the values must equal the unfused pass order bit for bit
+    x = _dsss(n, seed=n + m1)
+    cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision=precision,
+                        mem_cap_values=1 if spilled else 1 << 24, spill_dir=str(tmp_path))
+    est = sk.ssca_2dfft(x, cfg)
+    assert est.meta["stage1_store"] == ("file" if spilled else "array")
+    assert np.array_equal(est.values, _unfused_2dfft_values(x, cfg))
 
 
 def test_cdp_capacity_guard():
@@ -183,7 +232,7 @@ def test_spilled_matches_in_memory_bitwise():
 
 
 def test_spill_strip_size_does_not_change_results(monkeypatch):
-    # one column per stage-1 strip and per stage-2 FFT block, against the default
+    # one column per stage-1 strip, against the default
     x = _dsss(4096, seed=6)
     cfg = _cfg(mode="decomposed_2d", mem_cap_values=1)
     monkeypatch.setattr(ssca, "_STRIP_ELEMS", 1)
@@ -203,6 +252,20 @@ def test_spill_reads_each_channel_once(monkeypatch):
     monkeypatch.setattr(os, "preadv", counting_preadv)
     sk.ssca_2dfft(_dsss(4096), _cfg(mode="decomposed_2d", mem_cap_values=1))
     assert calls == [64] * 32  # Np reads of M2 rows each
+
+
+def test_spill_writes_one_run_per_channel_per_group(monkeypatch):
+    # 4096/32/M1=64 stages all 64 columns in one channel-major group:
+    # one write of the whole channel per channel
+    real_pwrite, sizes = os.pwrite, []
+
+    def counting_pwrite(fd, data, offset):
+        sizes.append(len(data))
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", counting_pwrite)
+    sk.ssca_2dfft(_dsss(4096), _cfg(mode="decomposed_2d", mem_cap_values=1))
+    assert sizes == [64 * 64 * 8] * 32  # Np writes of M2 * M1 complex64 values
 
 
 def test_spill_file_cleaned_up(tmp_path):
@@ -233,6 +296,7 @@ def test_streamed_envelope_properties(point):
         mp.setattr(ssca, "_STRIP_ELEMS", strip_elems)
         spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1))
     assert np.array_equal(in_memory.values, spilled.values)
+    assert np.array_equal(in_memory.values, _unfused_2dfft_values(x, cfg))
     direct = sk.ssca_direct(x, replace(cfg, mode="direct_1d"))
     assert sk.peak_relative_error(in_memory.values, direct.values) <= 1e-5
 
@@ -263,8 +327,8 @@ def test_missing_spill_dir_raises(tmp_path):
 
 
 def test_spill_file_os_error_names_file(tmp_path, monkeypatch):
-    # 4096/32/M1=64 writes stage 1 in four strips of one run per channel:
-    # the disk fills on the second run of the first strip
+    # 4096/32/M1=64 writes stage 1 in one column group of one run per
+    # channel: the disk fills on the second channel's run
     real_pwrite, calls = os.pwrite, []
 
     def fill_disk(fd, data, offset):
