@@ -17,7 +17,7 @@ from .errors import (
 )
 from .estimate import ALPHA_RANGE, F_RANGE, AlphaProfile, ScdEstimate, alpha_profile, scd_to_grid
 from .fam import FamConfig, demodulate, fam_full, fam_scd, fam_to_grid, frame
-from .fftcore import FftPlan, fft, fft_decomposed, fft_shift, get_plan, transpose
+from .fftcore import FftPlan, fft, fft_decomposed, fft_shift, get_plan
 from .oracle import (
     ErrorStats,
     cdp_reference,
@@ -92,6 +92,5 @@ __all__ = [
     "ssca_direct",
     "ssca_full",
     "ssca_to_grid",
-    "transpose",
     "__version__",
 ]

@@ -88,5 +88,5 @@ def value_hash(values: np.ndarray) -> str:
     le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     h = hashlib.sha256()
     h.update(str(arr.shape).encode())
-    h.update(le.tobytes())
+    h.update(le)  # the array's own buffer: no copy of a contiguous little-endian array
     return h.hexdigest()

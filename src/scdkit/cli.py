@@ -126,7 +126,7 @@ def cmd_compare(args) -> int:
     print(f"mean_rel={stats.mean_rel:.6e}")
     print(f"max_rel={stats.max_rel:.6e}")
     print(f"mean_abs={stats.mean_abs:.6e}")
-    if args.tol is not None and stats.mean_rel > args.tol:
+    if args.tol is not None and not stats.mean_rel <= args.tol:  # NaN fails too
         print(f"tolerance exceeded: mean_rel {stats.mean_rel:.6e} > {args.tol:.6e}")
         return TOLERANCE_ERROR
     return 0

@@ -2,10 +2,11 @@
 
 The pipeline is normalize -> frame -> demodulate -> fam_scd. Framing
 decimates the input into P windows of Np samples at stride L = Np/4.
-Demodulation applies the channelizer window, an Np-point FFT (centered),
-and the per-frame down-conversion phase. The final stage forms the
-conjugate product of every channel pair, refines cycle frequency with a
-P-point FFT, and keeps the central half of the squared magnitudes.
+Demodulation is the channelizer shared with the SSCA (fftcore.channelize):
+the window, an Np-point FFT (centered), and the per-frame down-conversion
+phase. The final stage forms the conjugate product of every channel pair,
+refines cycle frequency with a P-point FFT, and keeps the central half of
+the squared magnitudes.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (block_ranges, complex_dtype, is_pow2, real_dtype, require_finite,
-                    run_partitioned)
+from ._util import block_ranges, complex_dtype, is_pow2, real_dtype, run_partitioned
 from .errors import ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import get_plan, shift_indices
-from .signal import WindowSpec, normalize, window_array
+from .fftcore import channelize, downconversion_table, get_plan
+from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
 _PAIR_CHUNK = 16  # channel rows per conjugate-product task
 
@@ -80,18 +80,8 @@ def frame(x: np.ndarray, cfg: FamConfig) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (cfg.N,):
         raise DimensionError(f"input length {x.shape} does not match N={cfg.N}")
-    cdt = complex_dtype(cfg.precision)
-    padded = np.zeros((cfg.P - 1) * cfg.L + cfg.Np, dtype=cdt)
-    padded[: cfg.N] = x
-    idx = np.arange(cfg.Np)[:, None] + cfg.L * np.arange(cfg.P)[None, :]
-    return padded[idx]
-
-
-def _downconversion_table(cfg: FamConfig, cdt) -> np.ndarray:
-    # exp(-i 2 pi (m - Np/2) p L / Np) depends on p only through p mod 4
-    m_signed = np.arange(cfg.Np) - cfg.Np // 2
-    table = np.exp((-2j * np.pi / 4.0) * np.outer(m_signed, np.arange(4)))
-    return table.astype(cdt)
+    x = x.astype(complex_dtype(cfg.precision), copy=False)
+    return np.ascontiguousarray(sliding_frames(x, cfg.Np, 0, cfg.L, cfg.P).T)
 
 
 def demodulate(frames: np.ndarray, cfg: FamConfig) -> np.ndarray:
@@ -108,12 +98,11 @@ def demodulate(frames: np.ndarray, cfg: FamConfig) -> np.ndarray:
         )
     cdt = complex_dtype(cfg.precision)
     a = window_array(cfg.a_window, cfg.Np).astype(real_dtype(cfg.precision))
-    y = frames.astype(cdt, copy=False) * a[:, None]
-    y = get_plan(cfg.Np).execute(y, axis=0)
-    y = y[shift_indices(cfg.Np), :]
-    phase = _downconversion_table(cfg, cdt)
-    y *= phase[:, np.arange(cfg.P) % 4]
-    return y
+    # frame p starts at sample p*L, residue (p mod 4)*L mod Np: the frames,
+    # taken four at a time, broadcast against the four phase rows
+    phase = downconversion_table(cfg.Np, cfg.L * np.arange(4), cdt)
+    y = channelize(frames.astype(cdt, copy=False).T.reshape(-1, 4, cfg.Np), a, phase)
+    return np.ascontiguousarray(y.reshape(cfg.P, cfg.Np).T)
 
 
 def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
@@ -178,10 +167,7 @@ def fam_full(
     normalize_input: bool = True,
 ) -> ScdEstimate:
     """Full pipeline: normalize, frame, demodulate, conjugate-multiply."""
-    x = np.asarray(x).astype(complex_dtype(cfg.precision), copy=False)
-    require_finite(x)
-    if normalize_input:
-        x = normalize(x)
+    x = prepare_input(x, cfg.N, cfg.precision, normalize_input)
     return fam_scd(demodulate(frame(x, cfg), cfg), cfg, threads=threads)
 
 

@@ -90,19 +90,28 @@ def fft_shift(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.roll(x, -(n // 2), axis=axis)
 
 
-def shift_indices(n: int) -> np.ndarray:
-    """Gather indices implementing fft_shift for even n."""
-    if n % 2 != 0:
-        raise DimensionError(f"fft_shift needs an even length, got {n}")
-    return np.concatenate((np.arange(n // 2, n), np.arange(0, n // 2)))
+def downconversion_table(np_ch: int, residues, dtype=np.complex128) -> np.ndarray:
+    """Down-conversion rows tab[i, m] = exp(-i 2 pi r_i (m - Np/2) / Np) * Np for
+    frames starting at a sample n = r_i mod Np. The exact power-of-two Np
+    is the one channelize() leaves out of its forward-scaled FFT."""
+    k_signed = np.arange(np_ch) - np_ch // 2
+    tab = np.exp((-2j * np.pi / np_ch) * np.outer(residues, k_signed))
+    return (tab * np_ch).astype(dtype)
 
 
-def transpose(m: np.ndarray) -> np.ndarray:
-    """Matrix transpose, returned contiguous: out[j][i] = m[i][j]."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D matrix, got shape {m.shape}")
-    return np.ascontiguousarray(m.T)
+def channelize(frames: np.ndarray, window: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """out[..., m] = phase[..., m] * X[..., (m + Np/2) mod Np], X the forward-scaled
+    FFT of frames * window along the last axis. frames may be any strided
+    view; phase (rows of downconversion_table) broadcasts against them."""
+    spec = np.multiply(frames, window, order="C")
+    np_ch = spec.shape[-1]
+    get_plan(np_ch).forward(spec, axis=-1, out=spec)
+    # fft shift (swap the two Np halves) fused with the down-conversion
+    h = np_ch // 2
+    out = np.empty_like(spec)
+    np.multiply(spec[..., h:], phase[..., :h], out=out[..., :h])
+    np.multiply(spec[..., :h], phase[..., h:], out=out[..., h:])
+    return out
 
 
 def rotation_factors(m1_out: int, cols: np.ndarray, n: int, dtype=np.complex128) -> np.ndarray:

@@ -110,6 +110,8 @@ def read_scd1(path):
     if len(blob) != expected:
         raise DataError(f"{path}: payload size {len(blob)} != expected {expected}")
     grid = np.frombuffer(blob, dtype=dtype, offset=_SCD1_HEADER.size).reshape(rows, cols)
+    if not np.isfinite(grid).all():
+        raise DataError(f"{path}: payload holds non-finite values")
     header = {
         "rows": rows,
         "cols": cols,

@@ -10,7 +10,8 @@ report elementwise relative errors with a floored denominator, the form
 used for mean-accuracy figures; peak_relative_error reports the largest
 deviation normalized by the reference peak, the standard form for
 validating transforms, where tiny bins produced by cancellation would
-otherwise dominate an elementwise maximum.
+otherwise dominate an elementwise maximum. Both propagate NaN: a NaN in
+either array makes the maxima NaN, so a `<= tol` check on them fails.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def error_stats(test: np.ndarray, reference: np.ndarray) -> ErrorStats:
     rf = r.reshape(-1)
     max_ref = 0.0
     for i0, i1 in block_ranges(rf.size, _STAT_CHUNK):
-        max_ref = max(max_ref, float(np.abs(rf[i0:i1]).max()))
+        max_ref = np.maximum(max_ref, np.abs(rf[i0:i1]).max())
     tau = _TAU_FACTOR * max_ref if max_ref > 0.0 else 1.0
     sum_rel = 0.0
     sum_abs = 0.0
@@ -168,9 +169,9 @@ def error_stats(test: np.ndarray, reference: np.ndarray) -> ErrorStats:
         e = diff / denom
         sum_rel += float(e.sum())
         sum_abs += float(diff.sum())
-        max_rel = max(max_rel, float(e.max()))
+        max_rel = np.maximum(max_rel, e.max())
     n = rf.size
-    return ErrorStats(mean_rel=sum_rel / n, max_rel=max_rel, mean_abs=sum_abs / n, n_bins=n)
+    return ErrorStats(mean_rel=sum_rel / n, max_rel=float(max_rel), mean_abs=sum_abs / n, n_bins=n)
 
 
 def relative_error(test: ScdEstimate, reference: ScdEstimate) -> ErrorStats:
@@ -193,11 +194,12 @@ def peak_relative_error(test: np.ndarray, reference: np.ndarray) -> float:
     for i0, i1 in block_ranges(rf.size, _STAT_CHUNK):
         rb = rf[i0:i1].astype(np.complex128)
         tb = tf[i0:i1].astype(np.complex128)
-        max_diff = max(max_diff, float(np.abs(tb - rb).max()))
-        max_ref = max(max_ref, float(np.abs(rb).max()))
-    if max_ref == 0.0:
-        return 0.0 if max_diff == 0.0 else np.inf
-    return max_diff / max_ref
+        max_diff = np.maximum(max_diff, np.abs(tb - rb).max())
+        max_ref = np.maximum(max_ref, np.abs(rb).max())
+    if max_diff == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):  # a zero reference peak gives inf
+        return float(max_diff / max_ref)
 
 
 def detect_cycle_frequencies(profile: AlphaProfile, rel_threshold: float) -> list[float]:

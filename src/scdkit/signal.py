@@ -1,4 +1,5 @@
-"""Test-signal generation, normalization, and window synthesis.
+"""Test-signal generation, normalization, window synthesis, and the input
+preparation and framing the estimators share.
 
 Complex series are plain 1-D numpy arrays of complex samples at a
 normalized sample rate of 1, so every frequency in this package is a
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError
+from ._util import complex_dtype, require_finite
+from .errors import ConfigurationError, DimensionError
 
 WINDOW_KINDS = ("chebyshev", "rectangular", "hamming")
 
@@ -143,6 +146,26 @@ def normalize(x: np.ndarray) -> np.ndarray:
     if abs(m - 1.0) <= 4.0 * eps:
         return x.copy()
     return x / m
+
+
+def prepare_input(x: np.ndarray, n: int, precision: str, normalize_input: bool) -> np.ndarray:
+    """Estimator input: length checked, cast, required finite, optionally normalized."""
+    x = np.asarray(x)
+    if x.shape != (n,):
+        raise DimensionError(f"input length {x.shape} does not match N={n}")
+    x = x.astype(complex_dtype(precision), copy=False)
+    require_finite(x)
+    return normalize(x) if normalize_input else x
+
+
+def sliding_frames(x: np.ndarray, length: int, lead: int, hop: int, count: int) -> np.ndarray:
+    """count frames as one read-only view, out[i, j] = x[i*hop - lead + j], strided
+    over one copy of x zero-padded at both ends."""
+    x = np.asarray(x)
+    padded = np.zeros((count - 1) * hop + length, dtype=x.dtype)
+    take = min(x.shape[0], padded.size - lead)
+    padded[lead:lead + take] = x[:take]
+    return sliding_window_view(padded, length)[::hop]
 
 
 def _chebyshev_window(length: int, atten_db: float) -> np.ndarray:

@@ -31,14 +31,13 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import (block_ranges, complex_dtype, default_split, is_pow2, real_dtype,
-                    require_finite, run_partitioned)
-from .errors import CapacityError, ConfigurationError, DimensionError
+                    run_partitioned)
+from .errors import CapacityError, ConfigurationError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import get_plan, rotation_factors
-from .signal import WindowSpec, normalize, window_array
+from .fftcore import channelize, downconversion_table, get_plan, rotation_factors
+from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
@@ -127,19 +126,13 @@ class _CdpKernel:
         rdt = real_dtype(cfg.precision)
         np_ch = cfg.Np
         self.cfg = cfg
-        self.plan = get_plan(np_ch)
         self.window = window_array(cfg.a_window, np_ch).astype(rdt)
-        self.xpad = np.zeros(cfg.N + np_ch, dtype=cdt)
-        self.xpad[np_ch // 2: np_ch // 2 + cfg.N] = x
         # windows[n] is the slice centered at sample n: a view, no copy
-        self.windows = sliding_window_view(self.xpad, np_ch)[:cfg.N]
+        self.windows = sliding_frames(x, np_ch, np_ch // 2, 1, cfg.N)
         g = window_array(cfg.g_window, cfg.N).astype(rdt)
         self.scale = np.conj(x) * g
-        # down-conversion repeats with period Np in n; the table carries the
-        # Np that rows() leaves out of its forward-scaled (1/Np) FFT
-        k_signed = np.arange(np_ch) - np_ch // 2
-        tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), k_signed))
-        self.phase_by_residue = (tab * np_ch).astype(cdt)
+        # down-conversion repeats with period Np in n
+        self.phase_by_residue = downconversion_table(np_ch, np.arange(np_ch), cdt)
 
     def rows(self, c0: int, c1: int, stride: int) -> np.ndarray:
         """CDP rows n = c + m*stride for c in [c0, c1) and m in [0, N/stride).
@@ -150,26 +143,12 @@ class _CdpKernel:
         down-conversion phase of residue c % Np, and every input is a view.
         """
         n, np_ch = self.cfg.N, self.cfg.Np
-        per_col, h = n // stride, np_ch // 2
+        per_col = n // stride
         windows = self.windows.reshape(per_col, stride, np_ch)[:, c0:c1].transpose(1, 0, 2)
-        spec = np.multiply(windows, self.window, order="C")
-        self.plan.forward(spec, axis=2, out=spec)
-        # fft shift (swap the two Np halves) fused with the down-conversion
         phase = self.phase_by_residue[np.arange(c0, c1) % np_ch][:, None, :]
-        out = np.empty_like(spec)
-        np.multiply(spec[..., h:], phase[..., :h], out=out[..., :h])
-        np.multiply(spec[..., :h], phase[..., h:], out=out[..., h:])
+        out = channelize(windows, self.window, phase)
         out *= self.scale.reshape(per_col, stride)[:, c0:c1].T[:, :, None]
         return out
-
-
-def _prepare_input(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (cfg.N,):
-        raise DimensionError(f"input length {x.shape} does not match N={cfg.N}")
-    x = x.astype(complex_dtype(cfg.precision), copy=False)
-    require_finite(x)
-    return normalize(x) if normalize_input else x
 
 
 def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.ndarray:
@@ -178,7 +157,7 @@ def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.nda
             f"the full {cfg.N} x {cfg.Np} CDP does not fit in "
             f"mem_cap_values={cfg.mem_cap_values} complex values"
         )
-    kernel = _CdpKernel(_prepare_input(x, cfg, normalize_input), cfg)
+    kernel = _CdpKernel(prepare_input(x, cfg.N, cfg.precision, normalize_input), cfg)
     out = np.empty((cfg.N, cfg.Np), dtype=complex_dtype(cfg.precision))
     block = max(1, _CDP_BLOCK_ELEMS // cfg.Np)
     for r0, r1 in block_ranges(cfg.N, block):
@@ -388,7 +367,7 @@ def ssca_2dfft(
     """
     if cfg.mode != "decomposed_2d":
         raise ConfigurationError("ssca_2dfft requires cfg.mode == 'decomposed_2d'")
-    kernel = _CdpKernel(_prepare_input(x, cfg, normalize_input), cfg)
+    kernel = _CdpKernel(prepare_input(x, cfg.N, cfg.precision, normalize_input), cfg)
     shape = (cfg.Np, cfg.M2, cfg.M1)
     cdt = complex_dtype(cfg.precision)
     if cfg.N * cfg.Np <= cfg.mem_cap_values:

@@ -272,6 +272,31 @@ def test_compare_precision_gap_and_tolerance(tmp_path, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+@pytest.mark.parametrize("bad_side", ["test", "reference"])
+def test_compare_rejects_a_non_finite_grid(tmp_path, capsys, bad_side, bad_value):
+    # read_scd1 refuses the payload as corrupt, whichever side it is on
+    grid = np.linspace(0.0, 1.0, 32).reshape(8, 4)
+    good, bad = tmp_path / "good.scd1", tmp_path / "bad.scd1"
+    scdio.write_scd1(good, grid)
+    grid[3, 2] = bad_value
+    scdio.write_scd1(bad, grid)
+    args = [str(bad), str(good)] if bad_side == "test" else [str(good), str(bad)]
+    assert main(["compare", *args, "--tol", "1e-3"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_compare_nan_statistics_fail_the_tolerance(tmp_path, capsys, monkeypatch):
+    # NaN > tol is False, so the check must be written as "not <= tol"
+    from scdkit import cli
+
+    a = tmp_path / "a.scd1"
+    scdio.write_scd1(a, np.ones((4, 4)))
+    nan_stats = sk.ErrorStats(mean_rel=np.nan, max_rel=np.nan, mean_abs=np.nan, n_bins=16)
+    monkeypatch.setattr(cli, "error_stats", lambda t, r: nan_stats)
+    assert main(["compare", str(a), str(a), "--tol", "1e-3"]) == 4
+
+
 def test_compare_dimension_mismatch(tmp_path, capsys):
     a = tmp_path / "a.scd1"
     b = tmp_path / "b.scd1"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
+from scdkit.fftcore import channelize, downconversion_table
 
 SIZES = [8, 16, 64, 256, 1024, 4096]
 
@@ -157,14 +158,29 @@ def test_fft_shift_involution(half):
     assert np.array_equal(sk.fft_shift(sk.fft_shift(x)), x)
 
 
-def test_transpose_examples():
-    one = np.array([[3.5 + 1j]])
-    assert np.array_equal(sk.transpose(one), one)
-    ramp = np.array([[1, 2, 3], [4, 5, 6]])
-    assert np.array_equal(sk.transpose(ramp), np.array([[1, 4], [2, 5], [3, 6]]))
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
-    assert np.array_equal(sk.transpose(sk.transpose(m)), m)
+def test_downconversion_table_rows():
+    # row r is exp(-i 2 pi r (m - Np/2) / Np) * Np; residue 0 is all Np
+    tab = downconversion_table(8, np.array([0, 2, 5]), np.complex128)
+    k = np.arange(8) - 4
+    assert tab.shape == (3, 8)
+    assert np.array_equal(tab[0], np.full(8, 8.0))
+    assert np.allclose(tab[2], 8.0 * np.exp(-2j * np.pi * 5 * k / 8), atol=1e-13)
+    assert downconversion_table(8, np.arange(8), np.complex64).dtype == np.complex64
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_channelize_centres_and_down_converts(dtype):
+    # each frame is a unit tone at channel c: after the half swap its energy
+    # sits in column c + Np/2 as that column's phase (which carries the Np)
+    np_ch, c = 16, 3
+    n = np.arange(np_ch)
+    frames = np.stack([np.exp(2j * np.pi * c * n / np_ch)] * 2).astype(dtype)
+    phase = downconversion_table(np_ch, np.array([0, 4]), dtype)
+    out = channelize(frames, np.ones(np_ch, dtype=frames.real.dtype), phase)
+    assert out.dtype == dtype and out.shape == (2, np_ch)
+    expected = np.zeros((2, np_ch), dtype=np.complex128)
+    expected[:, c + np_ch // 2] = phase[:, c + np_ch // 2]
+    assert np.allclose(out, expected, atol=1e-4)
 
 
 def test_decomposed_impulse():

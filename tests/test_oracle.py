@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import scdkit as sk
+from scdkit import oracle
 
 
 def test_dft_naive_impulse_and_constant():
@@ -114,6 +118,37 @@ def test_peak_relative_error_basics():
     assert sk.peak_relative_error(a + 0.03, a) == pytest.approx(0.01)
     assert sk.peak_relative_error(np.zeros(3), np.zeros(3)) == 0.0
     assert np.isinf(sk.peak_relative_error(np.ones(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("where", ["test", "reference"])
+@pytest.mark.parametrize("count", ["one", "all"])
+def test_comparison_metrics_propagate_nan(where, count):
+    # a NaN must fail every `<= tol` check, not vanish into a max with 0.0
+    ref = np.linspace(1.0, 2.0, 10)
+    bad = ref.copy()
+    if count == "one":
+        bad[4] = np.nan
+    else:
+        bad[:] = np.nan
+    t, r = (bad, ref) if where == "test" else (ref, bad)
+    assert np.isnan(sk.peak_relative_error(t, r))
+    stats = sk.error_stats(t, r)
+    assert np.isnan(stats.max_rel) and np.isnan(stats.mean_rel)
+    assert np.isnan(sk.peak_relative_error(np.full(3, np.nan), np.zeros(3)))
+
+
+def test_oracle_never_touches_the_estimators_fft():
+    # the references must stay a structurally different path from the
+    # estimators: no numpy.fft and nothing from scdkit.fftcore
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            assert not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            assert "fft" not in (node.module or "")  # numpy.fft, .fftcore
+            assert not any(a.name in ("fft", "fftcore") for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any("fft" in a.name for a in node.names)
 
 
 def _point_estimate(alpha, value):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
+from scdkit.signal import prepare_input, sliding_frames
 
 
 def test_dsss_noise_free_is_unit_modulus():
@@ -159,6 +160,30 @@ def test_csv_reader(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("1.0,2.0\n3.0,4.0\n")
     assert np.allclose(scdio.read_iq_csv(bare), [1 + 2j, 3 + 4j])
+
+
+@pytest.mark.parametrize("length,lead,hop,count", [(8, 0, 2, 16), (8, 4, 1, 32), (4, 2, 3, 5)])
+def test_sliding_frames_index_the_padded_input(length, lead, hop, count):
+    x = np.arange(1, 33, dtype=np.complex64)
+    out = sliding_frames(x, length, lead, hop, count)
+    assert out.shape == (count, length) and out.dtype == np.complex64
+    assert not out.flags.writeable
+    for i in range(count):
+        for j in range(length):
+            n = i * hop - lead + j
+            assert out[i, j] == (x[n] if 0 <= n < x.size else 0)
+
+
+def test_prepare_input_checks_casts_and_normalizes():
+    x = np.array([2.0, -4.0j, 1.0 + 1.0j])
+    out = prepare_input(x, 3, "f32", normalize_input=True)
+    assert out.dtype == np.complex64 and np.abs(out).max() == 1.0
+    assert np.array_equal(prepare_input(x, 3, "f64", normalize_input=False), x)
+    with pytest.raises(sk.DimensionError):
+        prepare_input(x, 4, "f32", True)
+    x[1] = np.inf
+    with pytest.raises(sk.DataError):
+        prepare_input(x, 3, "f64", False)
 
 
 def test_read_iq_rejects_odd_float_count(tmp_path):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import scdkit as sk
 from scdkit import estimate, ssca
 from scdkit._util import block_ranges, complex_dtype, real_dtype, value_hash
-from scdkit.fftcore import rotation_factors, shift_indices
+from scdkit.fftcore import rotation_factors
+from scdkit.signal import prepare_input
 
 
 def _dsss(n, seed=5, snr=10.0):
@@ -92,15 +93,18 @@ def test_cdp_matches_straight_line_reference(precision, tol):
     assert sk.peak_relative_error(out, ref) <= tol
 
 
-def _cdp_rows_gathered(kernel, n_idx):
-    # the explicit form: gather every window element by index, then window,
-    # transform, shift, down-convert by residue and scale, row by row (the
-    # phase table carries the Np that the forward-scaled FFT leaves out)
+def _cdp_rows_gathered(kernel, x, n_idx):
+    # the explicit form: gather every window element by index from a padded
+    # copy of x, then window, transform, shift, down-convert by residue and
+    # scale, row by row (the phase table carries the Np that the
+    # forward-scaled FFT leaves out)
     np_ch = kernel.cfg.Np
-    fr = kernel.xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
+    xpad = np.zeros(x.size + np_ch, dtype=x.dtype)
+    xpad[np_ch // 2: np_ch // 2 + x.size] = x
+    fr = xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
     fr *= kernel.window[None, :]
-    spec = kernel.plan.forward(fr, axis=1)
-    spec = spec[:, shift_indices(np_ch)]
+    spec = sk.get_plan(np_ch).forward(fr, axis=1)
+    spec = spec[:, (np.arange(np_ch) + np_ch // 2) % np_ch]
     spec *= kernel.phase_by_residue[n_idx % np_ch]
     spec *= kernel.scale[n_idx][:, None]
     return spec
@@ -113,17 +117,18 @@ def test_cdp_rows_equal_gathered_rows(precision, n, np_ch, m1):
                         g_window=sk.WindowSpec("hamming", n))
     rng = np.random.default_rng(n + m1)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    kernel = ssca._CdpKernel(ssca._prepare_input(x, cfg, True), cfg)
+    x = prepare_input(x, n, precision, True)
+    kernel = ssca._CdpKernel(x, cfg)
     m2 = cfg.M2
     # consecutive row blocks, as _cdp_matrix takes them (last block partial)
     for r0, r1 in [(0, 1000), (1000, n - 7), (n - 7, n)]:
         got = kernel.rows(r0, r1, n)
         assert got.shape == (r1 - r0, 1, np_ch)
-        assert np.array_equal(got[:, 0], _cdp_rows_gathered(kernel, np.arange(r0, r1)))
+        assert np.array_equal(got[:, 0], _cdp_rows_gathered(kernel, x, np.arange(r0, r1)))
     # single stage-1 columns and batches of columns: rows c + m*M2
     for c0, c1 in [(0, 1), (m2 - 1, m2), (3, 4), (0, m2 // 2), (5, m2)]:
         n_idx = np.arange(c0, c1)[:, None] + np.arange(m1)[None, :] * m2
-        ref = _cdp_rows_gathered(kernel, n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
+        ref = _cdp_rows_gathered(kernel, x, n_idx.ravel()).reshape(c1 - c0, m1, np_ch)
         assert np.array_equal(kernel.rows(c0, c1, m2), ref)
 
 
@@ -132,7 +137,7 @@ def _unfused_2dfft_values(x, cfg):
     # (execute), the plain down-conversion phase and rotation factors,
     # stage 1 in column strips into an (Np, M2, M1) array, stage 2 one
     # channel at a time
-    kernel = ssca._CdpKernel(ssca._prepare_input(x, cfg, True), cfg)
+    kernel = ssca._CdpKernel(prepare_input(x, cfg.N, cfg.precision, True), cfg)
     n, np_ch, m1, m2 = cfg.N, cfg.Np, cfg.M1, cfg.M2
     cdt, h = complex_dtype(cfg.precision), np_ch // 2
     tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), np.arange(np_ch) - h))
