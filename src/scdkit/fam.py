@@ -4,9 +4,10 @@ The pipeline is normalize -> frame -> demodulate -> fam_scd. Framing
 decimates the input into P windows of Np samples at stride L = Np/4.
 Demodulation is the channelizer shared with the SSCA (fftcore.channelize):
 the window, an Np-point FFT (centered), and the per-frame down-conversion
-phase. The final stage forms the conjugate product of every channel pair,
+phase. The final stage forms the conjugate product of each channel pair,
 refines cycle frequency with a P-point FFT, and keeps the central half of
-the squared magnitudes.
+the squared magnitudes; with a real g, half of the pairs are the conjugate
+mirror of the other half and are copied, not transformed.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
     P/2 cycle bins are kept, written as the q in [0, P/4) chunk followed by
     the q in [-P/4, 0) chunk. Bin q of pair (k, l) sits at
     f = (f_k + f_l)/2, alpha = (f_k - f_l) + q/N.
+
+    Pair (l, k) holds bin -q mod P of pair (k, l) (S^-alpha = conj(S^alpha)),
+    so each block of rows k0:k1 transforms only the pairs with l >= k0.
     """
     xt = np.asarray(xt)
     if xt.shape != (cfg.Np, cfg.P):
@@ -132,12 +136,29 @@ def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
     out = np.empty((np_, np_, p // 2), dtype=rdt)
 
     def worker(bounds):
+        # g is real, so |Z_lk[q]|^2 = |Z_kl[-q mod P]|^2: the pairs with l >= k1
+        # are mirrored into out[k1:, k0:k1], a slice no other block writes
         k0, k1 = bounds
-        z = xt[k0:k1, None, :] * conj_g[None, :, :]
+        z = xt[k0:k1, None, :] * conj_g[None, k0:, :]
         zf = plan.execute(z, axis=2)
-        zabs = zf.real * zf.real + zf.imag * zf.imag
-        out[k0:k1, :, :q4] = zabs[:, :, :q4]
-        out[k0:k1, :, q4:] = zabs[:, :, 3 * q4:]
+        # square every component in one contiguous pass, then form re^2 + im^2
+        # only for the bins kept or mirrored: [0, P/4] and [3P/4, P)
+        parts = zf.view(rdt)
+        np.square(parts, out=parts)
+        parts = parts.reshape(zf.shape + (2,))
+        re, im = parts[..., 0], parts[..., 1]
+        sq_lo = re[..., : q4 + 1] + im[..., : q4 + 1]
+        kept = out[k0:k1, k0:]
+        kept[..., :q4] = sq_lo[..., :q4]
+        np.add(re[..., 3 * q4:], im[..., 3 * q4:], out=kept[..., q4:])
+        # out[l, k, j] for l >= k1 takes bin -q mod P of pair (k, l), q = j or j - P/2
+        kb = k1 - k0
+        src_lo = sq_lo[:, kb:].transpose(1, 0, 2)
+        src_hi = kept[:, kb:, q4:].transpose(1, 0, 2)
+        mirror = out[k1:, k0:k1]
+        mirror[..., 0] = src_lo[..., 0]  # bin 0
+        mirror[..., 1:q4] = src_hi[..., q4 - 1:0:-1]  # bins P-1 .. 3P/4+1
+        mirror[..., q4:] = src_lo[..., q4:0:-1]  # bins P/4 .. 1
 
     run_partitioned(block_ranges(np_, _PAIR_CHUNK), worker, threads)
 

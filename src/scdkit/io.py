@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from ._util import block_ranges
 from .errors import DataError
 
 SCD1_MAGIC = b"SCD1"
@@ -21,6 +22,7 @@ _SCD1_HEADER = struct.Struct("<4sIIIddddI")
 
 _PRECISION_FLAGS = {"f32": 0, "f64": 1}
 _PAYLOAD_DTYPES = {0: "<f4", 1: "<f8"}
+_CSV_BLOCK_ROWS = 4096  # profile rows per formatted string
 
 
 def write_iq(path, x) -> None:
@@ -42,8 +44,9 @@ def read_iq(path) -> np.ndarray:
     size = os.path.getsize(path)
     if size % 8 != 0:
         raise DataError(f"{path}: {size} bytes is not a whole number of 8-byte IQ samples")
-    raw = np.fromfile(path, dtype="<f4")
-    return (raw[0::2] + 1j * raw[1::2]).astype(np.complex64)
+    # read as little-endian complex64, so every sample (signed zeros, infinities,
+    # NaN payloads) arrives bit for bit; the cast is free on a little-endian host
+    return np.fromfile(path, dtype="<c8").astype(np.complex64, copy=False)
 
 
 def read_iq_csv(path) -> np.ndarray:
@@ -89,7 +92,7 @@ def write_scd1(
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(grid, dtype=_PAYLOAD_DTYPES[flag]).tobytes())
+        fh.write(np.ascontiguousarray(grid, dtype=_PAYLOAD_DTYPES[flag]))
 
 
 def read_scd1(path):
@@ -128,28 +131,36 @@ def write_pgm(path, grid: np.ndarray, log_scale: bool = False) -> None:
     Rows are written top-down from the highest alpha. log_scale compresses
     six decades below the peak into the gray ramp.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise DataError(f"grid must be 2-D, got shape {grid.shape}")
-    peak = grid.max()
+    # one fresh float64 image, transformed in place; the caller's grid is never written
+    img = np.array(grid, dtype=np.float64)
+    if img.ndim != 2:
+        raise DataError(f"grid must be 2-D, got shape {img.shape}")
+    peak = img.max()
     if peak <= 0.0:
-        img = np.zeros_like(grid)
+        img.fill(0.0)
     elif log_scale:
         floor = peak * 1e-6
-        img = (np.log10(np.maximum(grid, floor)) - np.log10(floor)) / 6.0
+        np.maximum(img, floor, out=img)
+        np.log10(img, out=img)
+        img -= np.log10(floor)
+        img /= 6.0
     else:
-        img = grid / peak
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    pixels = pixels[::-1, :]  # top row = highest alpha
+        img /= peak
+    img *= 255.0
+    np.rint(img, out=img)
+    np.clip(img, 0, 255, out=img)
+    pixels = img[::-1, :].astype(np.uint8, order="C")  # top row = highest alpha
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode())
-        fh.write(pixels.tobytes())
+        fh.write(pixels)
 
 
 def write_profile_csv(path, profile) -> None:
     """Write an alpha profile as 'alpha,value' rows."""
-    # Python floats format like the numpy scalars they hold, at a fraction of the cost
-    rows = zip(profile.alphas.tolist(), profile.values.tolist())
     with open(path, "w") as fh:
         fh.write("alpha,value\n")
-        fh.writelines(f"{a:.17g},{v:.17g}\n" for a, v in rows)
+        for start, stop in block_ranges(len(profile.alphas), _CSV_BLOCK_ROWS):
+            # Python floats format like the numpy scalars they hold, at a fraction
+            # of the cost; one %-format per block bounds the string at any length
+            cells = np.column_stack((profile.alphas[start:stop], profile.values[start:stop]))
+            fh.write(("%.17g,%.17g\n" * (stop - start)) % tuple(cells.ravel().tolist()))

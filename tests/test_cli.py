@@ -235,14 +235,89 @@ def test_scd1_rejects_bad_magic(tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_profile_csv_formats_like_numpy_scalars(tmp_path, dtype):
+    # rows are formatted a block at a time; a block edge must not show
     special = [-0.0, np.finfo(dtype).smallest_subnormal, 1 / 3, 3.4e38,
                np.nextafter(dtype(1), dtype(2))]
-    values = np.array(special, dtype=dtype)
-    prof = sk.AlphaProfile(alphas=values[::-1].copy(), values=values)
-    path = tmp_path / "p.csv"
-    scdio.write_profile_csv(path, prof)
-    rows = "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(prof.alphas, prof.values))
-    assert path.read_bytes() == ("alpha,value\n" + rows).encode()
+    for n in (len(special), 4097, 3 * 4096 + 5):
+        rng = np.random.default_rng(n)
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)).astype(dtype)
+        values[:len(special)] = special
+        values[-len(special):] = special
+        prof = sk.AlphaProfile(alphas=values[::-1].copy(), values=values)
+        path = tmp_path / "p.csv"
+        scdio.write_profile_csv(path, prof)
+        rows = "".join(f"{a:.17g},{v:.17g}\n" for a, v in zip(prof.alphas, prof.values))
+        assert path.read_bytes() == ("alpha,value\n" + rows).encode()
+
+
+def _old_write_scd1(path, grid, alpha_range, f_range, precision):
+    # write_scd1 as it was: header, then a tobytes() copy of the payload
+    flag = {"f32": 0, "f64": 1}[precision]
+    header = scdio._SCD1_HEADER.pack(scdio.SCD1_MAGIC, scdio.SCD1_VERSION, grid.shape[0],
+                                     grid.shape[1], *map(float, alpha_range),
+                                     *map(float, f_range), flag)
+    payload = np.ascontiguousarray(grid, dtype=("<f4", "<f8")[flag]).tobytes()
+    path.write_bytes(header + payload)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("layout", ["f32", "f64", "strided", "big_endian"])
+def test_write_scd1_bytes_match_the_copying_writer(tmp_path, layout, precision):
+    base = np.random.default_rng(5).random((24, 40)) * 1e3
+    grid = {
+        "f32": base.astype(np.float32),
+        "f64": base,
+        "strided": base[::2, ::-3],
+        "big_endian": base.astype(">f8"),
+    }[layout]
+    new, old = tmp_path / "new.scd1", tmp_path / "old.scd1"
+    scdio.write_scd1(new, grid, (-1.0, 1.0), (-0.5, 0.5), precision=precision)
+    _old_write_scd1(old, grid, (-1.0, 1.0), (-0.5, 0.5), precision)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def _old_pgm_bytes(grid, log_scale):
+    # write_pgm's formula as it was, one temporary per step
+    grid = np.asarray(grid, dtype=np.float64)
+    peak = grid.max()
+    if peak <= 0.0:
+        img = np.zeros_like(grid)
+    elif log_scale:
+        floor = peak * 1e-6
+        img = (np.log10(np.maximum(grid, floor)) - np.log10(floor)) / 6.0
+    else:
+        img = grid / peak
+    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)[::-1, :]
+    return f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode() + pixels.tobytes()
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+@pytest.mark.parametrize("kind", ["f64", "f32", "zero"])
+def test_write_pgm_bytes_match_the_formula(tmp_path, kind, log_scale):
+    rng = np.random.default_rng(9)
+    base = rng.random((30, 50)) ** 8 * 1e4  # spans many decades, so the log floor clips
+    grid = {"f64": base, "f32": base.astype(np.float32), "zero": np.zeros((30, 50))}[kind]
+    before = grid.copy()
+    path = tmp_path / "g.pgm"
+    scdio.write_pgm(path, grid, log_scale=log_scale)
+    assert path.read_bytes() == _old_pgm_bytes(before, log_scale)
+    assert np.array_equal(grid, before)  # the caller's grid is never written
+
+
+def test_read_iq_keeps_every_sample_bit_for_bit(tmp_path):
+    # signed zeros, infinities and NaN payloads (quiet and signalling) as raw words
+    words = np.array([0x80000000, 0x00000000, 0x40400000, 0xFF800000, 0x7F800000,
+                      0x80000001, 0x7FC00001, 0xFFC12345, 0x7F800001, 0x3F800000],
+                     dtype="<u4")
+    iq = tmp_path / "w.iq"
+    iq.write_bytes(words.tobytes())
+    x = scdio.read_iq(iq)
+    assert x.dtype == np.complex64 and x.shape == (5,)
+    assert np.array_equal(x.view(np.uint32), words)
+    # and the round trip through write_iq
+    again = tmp_path / "again.iq"
+    scdio.write_iq(again, x)
+    assert again.read_bytes() == iq.read_bytes()
 
 
 def test_compare_self_is_zero(tmp_path, capsys):

@@ -217,6 +217,49 @@ def test_fam_threads_bit_identical():
     assert value_hash(a.values) == value_hash(b.values)
 
 
+def _all_pairs_fam_scd(xt, cfg):
+    # fam_scd before the conjugate mirror: every block transforms all Np
+    # pairs and squares all P bins
+    cdt = sk._util.complex_dtype(cfg.precision)
+    rdt = sk._util.real_dtype(cfg.precision)
+    np_, p = cfg.Np, cfg.P
+    q4 = p // 4
+    xt = xt.astype(cdt, copy=False)
+    g = sk.make_window(cfg.g_window).astype(rdt)
+    conj_g = np.conj(xt) * g[None, :]
+    out = np.empty((np_, np_, p // 2), dtype=rdt)
+    for k0, k1 in sk._util.block_ranges(np_, sk.fam._PAIR_CHUNK):
+        z = xt[k0:k1, None, :] * conj_g[None, :, :]
+        zf = sk.get_plan(p).execute(z, axis=2)
+        zabs = zf.real * zf.real + zf.imag * zf.imag
+        out[k0:k1, :, :q4] = zabs[:, :, :q4]
+        out[k0:k1, :, q4:] = zabs[:, :, 3 * q4:]
+    return out
+
+
+@pytest.mark.parametrize("precision,tol", [("f32", 2e-7), ("f64", 1e-15)])
+@pytest.mark.parametrize("g_kind", ["rectangular", "hamming"])
+@pytest.mark.parametrize("n,np_ch", [(16, 8), (128, 16), (512, 64), (2048, 256), (512, 256)])
+def test_fam_scd_mirror_matches_all_pairs(n, np_ch, g_kind, precision, tol):
+    # pairs a block transforms (l >= its k0) are bit-identical to the all-pairs
+    # loop; pairs it mirrors (l >= its k1) are the conjugate bins q -> -q mod P
+    cfg = sk.FamConfig(N=n, Np=np_ch, precision=precision,
+                       g_window=sk.WindowSpec(g_kind, 4 * n // np_ch))
+    rng = np.random.default_rng(np_ch + cfg.P)
+    xt = rng.standard_normal((np_ch, cfg.P)) + 1j * rng.standard_normal((np_ch, cfg.P))
+    est = sk.fam_scd(xt, cfg)
+    got = est.values.reshape(np_ch, np_ch, cfg.P // 2)
+    ref = _all_pairs_fam_scd(xt, cfg)
+    assert got.dtype == ref.dtype
+    k = np.arange(np_ch)
+    computed = k[None, :] >= (k[:, None] // sk.fam._PAIR_CHUNK) * sk.fam._PAIR_CHUNK
+    assert np.array_equal(got[computed], ref[computed])
+    if not computed.all():
+        assert np.abs(got[~computed] - ref[~computed]).max() <= tol * ref.max()
+    hashes = {value_hash(sk.fam_scd(xt, cfg, threads=t).values) for t in (1, 4, 8)}
+    assert hashes == {value_hash(est.values)}
+
+
 def test_fam_alpha_lattice():
     # every emitted alpha is an integer multiple of 1/N
     cfg = sk.FamConfig(N=128, Np=16, precision="f64")
