@@ -1,7 +1,7 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error,
-4 tolerance failure in compare.
+Exit codes: 0 success, 2 usage or configuration error, 3 data or
+file-system error, 4 tolerance failure in compare.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DataError, DimensionError, CapacityError, FileNotFoundError) as exc:
+    except (DataError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

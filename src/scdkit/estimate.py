@@ -201,13 +201,19 @@ class _Axis(NamedTuple):
 def _scatter_max(est, axes) -> np.ndarray:
     """Max of the bins in every cell of the axes, flat and row-major over them.
 
-    Along a column range where col_offsets is monotone, every cell index of
-    a row is a monotone step function of the column, since every step of
-    _Axis.index is monotone. Such a range is reduced run by run when its
-    runs of one cell are long (_RUN_MIN_MEAN); every other column is
-    scattered bin by bin. Both paths give the same maxima.
+    A channel-pair lattice, such as FAM's, is scattered through one cell
+    table per class of pairs (_scatter_pairs). Otherwise, along a column
+    range where col_offsets is monotone, every cell index of a row is a
+    monotone step function of the column, since every step of _Axis.index
+    is monotone. Such a range is reduced run by run when its runs of one
+    cell are long (_RUN_MIN_MEAN); every other column is scattered bin by
+    bin. All paths give the same maxima.
     """
     grid = np.zeros(math.prod(axis.n_cells for axis in axes), dtype=np.float64)
+    anti = _pair_kinds(est, axes)
+    if anti is not None:
+        _scatter_pairs(grid, est, axes, anti)
+        return grid
     starts, stops, ends = _run_ranges(est, axes)
     for c0, c1 in zip(np.r_[0, stops], np.r_[starts, est.values.shape[1]]):
         if c0 < c1:
@@ -215,6 +221,72 @@ def _scatter_max(est, axes) -> np.ndarray:
     if starts.size:
         _scatter_runs(grid, est, axes, starts, stops, ends)
     return grid
+
+
+def _pair_kinds(est, axes):
+    """For each axis, whether it follows the anti-diagonals of a pair lattice.
+
+    The rows form a pair lattice when there are R x R of them, R >= 2, row
+    k * R + l standing for the channel pair (k, l), and every axis's base,
+    viewed as (R, R), is constant along its diagonals (a function of l - k)
+    or along its anti-diagonals (a function of k + l). The check is exact
+    equality, so a NaN base never passes. A base that passes both takes
+    the kind of the other axes. Returns None for any other lattice.
+    """
+    rows = est.values.shape[0]
+    r = math.isqrt(rows)
+    if r < 2 or r * r != rows:
+        return None
+    fits = []
+    for axis in axes:
+        b = axis.base.reshape(r, r)
+        fits.append((np.array_equal(b[1:, 1:], b[:-1, :-1]),
+                     np.array_equal(b[1:, :-1], b[:-1, 1:])))
+    for anti in (False, True):
+        if all(fit[anti] for fit in fits):
+            return [anti] * len(axes)
+    if not all(any(fit) for fit in fits):
+        return None
+    return [not diagonal for diagonal, _ in fits]
+
+
+def _scatter_pairs(grid, est, axes, anti) -> None:
+    """Scatter a pair lattice (_pair_kinds) through one cell table per kind.
+
+    The rows of one class of pairs, a diagonal or an anti-diagonal, share
+    a base, so an axis's cells form a (2R - 1, cols) table, computed by
+    _Axis.index on one base per class: the same float as bin by bin. The
+    rows of channel k read the table rows [R - 1 - k, 2R - 1 - k) along
+    diagonals and [k, k + R) along anti-diagonals. When every axis is of
+    one kind, the rows of a class share every cell, so the lattice is first
+    reduced to one maximum per class and column.
+    """
+    rows, cols = est.values.shape
+    r = math.isqrt(rows)
+    # a table of (2R - 1) x col_block cells stays within one block
+    for c0, c1 in block_ranges(cols, max(1, _GRID_CHUNK // (2 * r - 1))):
+        tables, stride = {}, 1  # flat cells of each kind, row-major over the axes
+        for axis, kind in reversed(list(zip(axes, anti))):
+            b = axis.base.reshape(r, r)
+            reps = np.concatenate((b[0], b[1:, -1]) if kind else (b[:0:-1, 0], b[0]))
+            cells = axis._replace(base=reps).cells(est.col_offsets, slice(c0, c1))[0]
+            tables[kind] = tables.get(kind, 0) + cells * stride
+            stride *= axis.n_cells
+        if len(tables) == 1:
+            (kind, table), = tables.items()
+            # maxima in the values' float type, cast exactly for the scatter
+            peaks = np.full(table.shape, -np.inf, np.promote_types(est.values.dtype, np.float32))
+            for k in range(r):
+                window = peaks[k:k + r] if kind else peaks[r - 1 - k:2 * r - 1 - k]
+                np.maximum(window, est.values[k * r:(k + 1) * r, c0:c1], out=window)
+            np.maximum.at(grid, table.reshape(-1), peaks.reshape(-1).astype(np.float64))
+        else:
+            index = np.empty((r, c1 - c0), dtype=np.int64)
+            vals = np.empty((r, c1 - c0))
+            for k in range(r):
+                np.add(tables[False][r - 1 - k:2 * r - 1 - k], tables[True][k:k + r], out=index)
+                vals[...] = est.values[k * r:(k + 1) * r, c0:c1]
+                np.maximum.at(grid, index.reshape(-1), vals.reshape(-1))
 
 
 def _scatter_bins(grid, est, axes, c_lo, c_hi) -> None:

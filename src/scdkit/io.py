@@ -27,12 +27,8 @@ _CSV_BLOCK_ROWS = 4096  # profile rows per formatted string
 
 def write_iq(path, x) -> None:
     """Write complex samples as interleaved little-endian float32 pairs."""
-    x = np.asarray(x)
-    inter = np.empty(2 * x.size, dtype="<f4")
-    inter[0::2] = x.real.astype(np.float32, copy=False)
-    inter[1::2] = x.imag.astype(np.float32, copy=False)
     with open(path, "wb") as fh:
-        fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(x, dtype="<c8"))
 
 
 def read_iq(path) -> np.ndarray:

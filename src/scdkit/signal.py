@@ -9,6 +9,7 @@ fraction in [-1, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,8 +48,16 @@ class WindowSpec:
             )
         if self.length < 2:
             raise ConfigurationError(f"window length must be >= 2, got {self.length}")
-        if self.kind == "chebyshev" and not self.atten_db > 0:
-            raise ConfigurationError("chebyshev window needs atten_db > 0")
+        if self.kind == "chebyshev":
+            if not 0 < self.atten_db < math.inf:  # NaN fails too
+                raise ConfigurationError(
+                    f"chebyshev window needs a finite atten_db > 0, got {self.atten_db}")
+            try:
+                10.0 ** (float(self.atten_db) / 20.0)  # the window's ripple ratio
+            except OverflowError:
+                raise ConfigurationError(
+                    f"chebyshev atten_db {self.atten_db} is too large: "
+                    "its ripple ratio 10^(atten_db/20) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,14 @@ def make_window(spec: WindowSpec) -> np.ndarray:
     if spec.kind == "hamming":
         return _hamming_window(spec.length)
     if spec.kind == "chebyshev":
-        return _chebyshev_window(spec.length, spec.atten_db)
+        # near the largest ripple ratio the response overflows; that is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _chebyshev_window(spec.length, spec.atten_db)
+        if not np.isfinite(w).all():
+            raise ConfigurationError(
+                f"a chebyshev window of length {spec.length} at {spec.atten_db} dB "
+                "is not finite; lower atten_db")
+        return w
     raise ConfigurationError(f"unsupported window kind {spec.kind!r}")
 
 

@@ -320,6 +320,71 @@ def test_read_iq_keeps_every_sample_bit_for_bit(tmp_path):
     assert again.read_bytes() == iq.read_bytes()
 
 
+def _old_write_iq(path, x):
+    # write_iq as it was: an interleaved float32 copy, then a bytes copy of it
+    x = np.asarray(x)
+    inter = np.empty(2 * x.size, dtype="<f4")
+    inter[0::2] = x.real.astype(np.float32, copy=False)
+    inter[1::2] = x.imag.astype(np.float32, copy=False)
+    path.write_bytes(inter.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("layout", ["c128", "c64", "big_endian", "strided", "real", "special"])
+def test_write_iq_bytes_match_the_copying_writer(tmp_path, layout):
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+    # signed zeros, infinities, float32 subnormals and NaN payloads in float64;
+    # casting the signalling NaN warns in both writers
+    nan_a = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    nan_b = np.array([0xFFF4000000000000], dtype=np.uint64).view(np.float64)[0]
+    special = np.array([complex(-0.0, 0.0), complex(np.inf, -np.inf), complex(1e-40, -3e-45),
+                        complex(nan_a, 1.0), complex(2.0, nan_b), complex(0.0, -0.0)])
+    x = {
+        "c128": base,
+        "c64": base.astype(np.complex64),
+        "big_endian": base.astype(">c16"),
+        "strided": base[::-3],
+        "real": base.real,
+        "special": special,
+    }[layout]
+    new, old = tmp_path / "new.iq", tmp_path / "old.iq"
+    scdio.write_iq(new, x)
+    _old_write_iq(old, x)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["output", "pgm", "input"])
+def test_file_system_errors_exit_3(tmp_path, capsys, target):
+    # a directory where a file is expected used to end in a traceback, exit 1
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "512", "--seed", "2", "-o", str(iq)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"input": str(iq), "output": str(tmp_path / "o.scd1"), "pgm": str(tmp_path / "h.pgm")}
+    paths[target] = str(folder)
+    capsys.readouterr()
+    rc = main(["fam", "-i", paths["input"], "--n", "512", "--np", "64",
+               "-o", paths["output"], "--pgm", paths["pgm"]])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(folder) in err
+
+
+@pytest.mark.parametrize("command", ["fam", "ssca"])
+@pytest.mark.parametrize("atten", ["inf", "1e4"])
+def test_unusable_attenuation_is_a_usage_error(tmp_path, capsys, command, atten):
+    # inf used to write an all-NaN grid with exit 0, 1e4 to overflow with exit 1
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "4096", "--seed", "2", "-o", str(iq)]) == 0
+    out = tmp_path / "o.scd1"
+    rc = main([command, "-i", str(iq), "--n", "4096", "--np", "32", "--atten-db", atten,
+               "-o", str(out)])
+    assert rc == 2
+    assert "atten_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_self_is_zero(tmp_path, capsys):
     iq = tmp_path / "x.iq"
     assert main(["gen", "--n", "512", "--seed", "2", "-o", str(iq)]) == 0

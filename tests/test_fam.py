@@ -358,31 +358,125 @@ def test_rasterizer_and_profile_match_reference(est, n_f, n_alpha, n_profile, ch
 
 
 def test_rasterizer_and_profile_allocate_one_block_of_scratch():
-    # an SSCA-shaped lattice: 64 rows of 2^16 columns; the scratch of both
-    # functions is bounded by the block size, not by the estimate size
+    # an SSCA-shaped lattice, 64 rows of 2^16 columns, and a column-major
+    # FAM pair lattice at (8192, 256), where a hidden copy of the values
+    # would cost twice the scratch; the scratch of both functions is
+    # bounded by the block size, not by the estimate size
     rows, cols = 64, 1 << 16
     k = np.arange(rows) - rows // 2
-    est = sk.ScdEstimate(
+    ssca = sk.ScdEstimate(
         values=np.random.default_rng(4).random((rows, cols), dtype=np.float32),
         f_base=k / (2.0 * rows), alpha_base=k / float(rows),
         col_offsets=(np.arange(cols) - cols // 2).astype(np.float64),
         f_slope=-0.5 / cols, alpha_slope=1.0 / cols,
     )
+    cfg = sk.FamConfig(N=8192, Np=256)
+    rng = np.random.default_rng(6)
+    fam = sk.fam_scd(rng.standard_normal((256, cfg.P)) + 1j * rng.standard_normal((256, cfg.P)),
+                     cfg)
+    fam.values = np.asfortranarray(fam.values)
     scratch = 16 * estimate._GRID_CHUNK * 8
-    assert scratch <= est.values.nbytes // 2  # a block is a fraction of the lattice
-    tracemalloc.start()
-    try:
-        grid = sk.scd_to_grid(est, 512, 1024)
-        grid_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        profile = sk.alpha_profile(est, 2 * cols + 1)
-        profile_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert grid_peak <= grid.nbytes + scratch
-    assert profile_peak <= profile.alphas.nbytes + profile.values.nbytes + scratch
-    assert np.array_equal(grid, _grid_reference(est, 512, 1024))
+    for est, n_profile in ((ssca, 2 * cols + 1), (fam, 2 * 8192 + 1)):
+        assert scratch <= est.values.nbytes // 2  # a block is a fraction of the lattice
+        tracemalloc.start()
+        try:
+            grid = sk.scd_to_grid(est, 512, 1024)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            profile = sk.alpha_profile(est, n_profile)
+            profile_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert grid_peak <= grid.nbytes + scratch
+        assert profile_peak <= profile.alphas.nbytes + profile.values.nbytes + scratch
+        assert np.array_equal(grid, _grid_reference(est, 512, 1024))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the pair lattice took another path")
+
+
+@st.composite
+def _fam_estimates(draw):
+    # the FAM envelope: Np in 8..256, N up to 4096, both precisions
+    np_ch = draw(st.sampled_from([8, 16, 32, 64, 128, 256]))
+    n = draw(st.sampled_from([1 << e for e in range(4, 13) if 1 << e >= 2 * np_ch]))
+    cfg = sk.FamConfig(N=n, Np=np_ch, precision=draw(st.sampled_from(["f32", "f64"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xt = rng.standard_normal((np_ch, cfg.P)) + 1j * rng.standard_normal((np_ch, cfg.P))
+    return sk.fam_scd(xt, cfg)
+
+
+# non-powers of two, 1 (every bin clips to one cell) and the CLI defaults
+_GRID_SIZES = st.integers(1, 1500) | st.sampled_from([1, 512, 1024])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fam_estimates(), _GRID_SIZES, _GRID_SIZES,
+       st.none() | st.integers(1, 3000).map(lambda i: 2 * i + 1))
+def test_fam_pair_lattice_path_matches_reference(est, n_f, n_alpha, n_profile):
+    # FAM's alpha base is a function of k - l and its f base of k + l, so the
+    # grid and the profile go through the class tables, never bin by bin
+    n_profile = 2 * est.meta["N"] + 1 if n_profile is None else n_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_scatter_bins", _refuse)
+        mp.setattr(estimate, "_run_ranges", _refuse)
+        grid = sk.scd_to_grid(est, n_f, n_alpha)
+        profile = sk.alpha_profile(est, n_profile)
+    assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
+    assert np.array_equal(profile.values, _profile_reference(est, n_profile))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in maximum:RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha_kind,f_kind",
+                         [("anti", "diag"), ("diag", "diag"), ("anti", "anti"), ("same", "anti")])
+def test_pair_lattice_path_on_toeplitz_and_hankel_bases(dtype, alpha_kind, f_kind):
+    # a square lattice FAM does not build: bases that are functions of l - k
+    # (Toeplitz), of k + l (Hankel) or constant, reaching past the grid so
+    # the indices clip, with ties and a NaN among the values
+    r, cols = 5, 7
+    rng = np.random.default_rng(31)
+    k, l = np.divmod(np.arange(r * r), r)
+
+    def base(kind, reach):
+        classes = rng.uniform(-reach, reach, 2 * r - 1)
+        return {"diag": classes[l - k + r - 1], "anti": classes[k + l],
+                "same": np.full(r * r, classes[0])}[kind]
+
+    values = rng.choice([0.0, 0.5, 1.0, 3.0], size=(r * r, cols)).astype(dtype)
+    values[7, 3] = np.nan
+    est = sk.ScdEstimate(values=values, f_base=base(f_kind, 0.8),
+                         alpha_base=base(alpha_kind, 1.6), col_offsets=rng.uniform(-3, 3, cols),
+                         f_slope=0.05, alpha_slope=-0.2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_scatter_bins", _refuse)
+        mp.setattr(estimate, "_run_ranges", _refuse)
+        grid = sk.scd_to_grid(est, 9, 13)
+        profile = sk.alpha_profile(est, 11)
+    assert np.isnan(grid).sum() == 1 and np.isnan(profile.values).sum() == 1
+    assert np.array_equal(grid, _grid_reference(est, 9, 13), equal_nan=True)
+    assert np.array_equal(profile.values, _profile_reference(est, 11), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["alpha_base", "f_base"])
+def test_near_miss_pair_lattice_takes_the_generic_path(name):
+    # one base 1 ulp off its class breaks the equality check
+    cfg = sk.FamConfig(N=256, Np=16, precision="f64")
+    rng = np.random.default_rng(8)
+    xt = rng.standard_normal((16, cfg.P)) + 1j * rng.standard_normal((16, cfg.P))
+    est = sk.fam_scd(xt, cfg)
+    nudged = getattr(est, name).copy()
+    nudged[37] = np.nextafter(nudged[37], np.inf)
+    setattr(est, name, nudged)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_scatter_pairs", _refuse)
+        grid = sk.scd_to_grid(est, 300, 700)
+        if name == "alpha_base":  # the profile reads only the alpha base
+            profile = sk.alpha_profile(est, 2 * cfg.N + 1)
+            assert np.array_equal(profile.values, _profile_reference(est, 2 * cfg.N + 1))
+    assert np.array_equal(grid, _grid_reference(est, 300, 700))
 
 
 def test_rasterizer_refuses_an_oversized_grid_before_allocating():

@@ -136,6 +136,19 @@ def test_window_spec_validation():
         sk.WindowSpec("rectangular", 1)
     with pytest.raises(sk.ConfigurationError):
         sk.WindowSpec("chebyshev", 64, atten_db=0.0)
+    # non-finite, and past the largest float ripple ratio 10^(atten_db/20)
+    for atten in (np.inf, -np.inf, np.nan, 6200.0, 1e4):
+        with pytest.raises(sk.ConfigurationError, match="atten_db"):
+            sk.WindowSpec("chebyshev", 64, atten_db=atten)
+
+
+def test_chebyshev_window_must_be_finite():
+    # 6000 dB still makes a finite window; at 6160 dB the ratio is finite,
+    # but the response overflows
+    w = sk.make_window(sk.WindowSpec("chebyshev", 64, atten_db=6000.0))
+    assert np.isfinite(w).all() and w.max() == 1.0
+    with pytest.raises(sk.ConfigurationError, match="not finite"):
+        sk.make_window(sk.WindowSpec("chebyshev", 8, atten_db=6160.0))
 
 
 def test_iq_roundtrip(tmp_path):
