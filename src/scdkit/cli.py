@@ -7,6 +7,8 @@ file-system error, 4 tolerance failure in compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import statistics
 import sys
 import time
@@ -44,16 +46,35 @@ def _load_input(path, expected_n: int) -> np.ndarray:
 
 
 def _export(est, grid_fn, args) -> None:
+    """Write the SCD1 grid, then the optional profile CSV and PGM.
+
+    A failed step removes the files this run wrote, including a partial
+    file the step itself created, so a failed run leaves no outputs.
+    """
     grid = grid_fn(est, args.f_bins, args.alpha_bins)
-    scdio.write_scd1(args.output, grid, ALPHA_RANGE, F_RANGE, precision=args.precision)
-    print(f"wrote {args.output} ({args.alpha_bins} x {args.f_bins} grid)")
+    steps = [(args.output, lambda path: scdio.write_scd1(
+        path, grid, ALPHA_RANGE, F_RANGE, precision=args.precision))]
     if args.profile_csv:
-        prof = alpha_profile(est, 2 * est.meta["N"] + 1)
-        scdio.write_profile_csv(args.profile_csv, prof)
-        print(f"wrote {args.profile_csv}")
+        steps.append((args.profile_csv, lambda path: scdio.write_profile_csv(
+            path, alpha_profile(est, 2 * est.meta["N"] + 1))))
     if args.pgm:
-        scdio.write_pgm(args.pgm, grid, log_scale=args.pgm_log)
-        print(f"wrote {args.pgm}")
+        steps.append((args.pgm, lambda path: scdio.write_pgm(path, grid, log_scale=args.pgm_log)))
+    written = []
+    for path, write in steps:
+        created = not os.path.lexists(path)
+        try:
+            write(path)
+        except BaseException:
+            if created and os.path.isfile(path):
+                written.append(path)
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.unlink(done)
+            raise
+        written.append(path)
+    print(f"wrote {args.output} ({args.alpha_bins} x {args.f_bins} grid)")
+    for path in written[1:]:
+        print(f"wrote {path}")
     print(f"output_sha256={value_hash(est.values)}")
 
 
@@ -175,6 +196,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a NaN, infinite or negative value is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _add_export_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f-bins", type=_positive_int, default=512, help="grid columns (f axis)")
     p.add_argument("--alpha-bins", type=_positive_int, default=1024,
@@ -234,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="compare two SCD1 files")
     c.add_argument("test")
     c.add_argument("reference")
-    c.add_argument("--tol", type=float, default=None,
+    c.add_argument("--tol", type=_tolerance, default=None,
                    help="fail (exit 4) if mean relative error exceeds this")
     c.set_defaults(func=cmd_compare)
 

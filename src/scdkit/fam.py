@@ -3,11 +3,12 @@
 The pipeline is normalize -> frame -> demodulate -> fam_scd. Framing
 decimates the input into P windows of Np samples at stride L = Np/4.
 Demodulation is the channelizer shared with the SSCA (fftcore.channelize):
-the window, an Np-point FFT (centered), and the per-frame down-conversion
-phase. The final stage forms the conjugate product of each channel pair,
-refines cycle frequency with a P-point FFT, and keeps the central half of
-the squared magnitudes; with a real g, half of the pairs are the conjugate
-mirror of the other half and are copied, not transformed.
+each frame, windowed and rolled by its start residue (p mod 4) L, takes one
+Np-point FFT that comes out centered and down-converted. The final stage
+forms the conjugate product of each channel pair, refines cycle frequency
+with a P-point FFT, and keeps the central half of the squared magnitudes;
+with a real g, half of the pairs are the conjugate mirror of the other half
+and are copied, not transformed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ._util import block_ranges, complex_dtype, is_pow2, real_dtype, run_partitioned
 from .errors import ConfigurationError, DimensionError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import channelize, downconversion_table, get_plan
+from .fftcore import channelize, get_plan
 from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
 _PAIR_CHUNK = 16  # channel rows per conjugate-product task
@@ -89,21 +90,20 @@ def demodulate(frames: np.ndarray, cfg: FamConfig) -> np.ndarray:
     """Window, transform, and phase-correct every frame.
 
     Row m of the result indexes the channel at f_m = (m - Np/2)/Np; the
-    per-frame factor exp(-i 2 pi (m - Np/2) p L / Np) compensates the
-    decimation offset of frame p.
+    per-frame factor exp(-i 2 pi (m - Np/2) p L / Np), a power of -i,
+    compensates the decimation offset of frame p exactly.
     """
     frames = np.asarray(frames)
     if frames.shape != (cfg.Np, cfg.P):
         raise DimensionError(
             f"frame matrix shape {frames.shape} does not match ({cfg.Np}, {cfg.P})"
         )
-    cdt = complex_dtype(cfg.precision)
     a = window_array(cfg.a_window, cfg.Np).astype(real_dtype(cfg.precision))
-    # frame p starts at sample p*L, residue (p mod 4)*L mod Np: the frames,
-    # taken four at a time, broadcast against the four phase rows
-    phase = downconversion_table(cfg.Np, cfg.L * np.arange(4), cdt)
-    y = channelize(frames.astype(cdt, copy=False).T.reshape(-1, 4, cfg.Np), a, phase)
-    return np.ascontiguousarray(y.reshape(cfg.P, cfg.Np).T)
+    # frame p starts at sample p*L, residue (p mod 4)*L mod Np: y[c, j] is
+    # frame p = 4j + c
+    y = frames.astype(complex_dtype(cfg.precision), copy=False).T.reshape(-1, 4, cfg.Np)
+    y = channelize(y.transpose(1, 0, 2), a, cfg.L * np.arange(4))
+    return y.transpose(2, 1, 0).reshape(cfg.Np, cfg.P)
 
 
 def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:

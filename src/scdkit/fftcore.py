@@ -5,6 +5,7 @@ complex64 in single precision, complex128 in double. Plans are immutable,
 cached per power-of-two size, and keep the shared size envelope and
 length checks. execute() is the unscaled forward DFT
 X[k] = sum_n x[n] exp(-i 2 pi n k / size); forward() returns exactly X / size.
+channelize() is the down-converting channelizer FAM and the SSCA share.
 """
 
 from __future__ import annotations
@@ -90,28 +91,28 @@ def fft_shift(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.roll(x, -(n // 2), axis=axis)
 
 
-def downconversion_table(np_ch: int, residues, dtype=np.complex128) -> np.ndarray:
-    """Down-conversion rows tab[i, m] = exp(-i 2 pi r_i (m - Np/2) / Np) * Np for
-    frames starting at a sample n = r_i mod Np. The exact power-of-two Np
-    is the one channelize() leaves out of its forward-scaled FFT."""
-    k_signed = np.arange(np_ch) - np_ch // 2
-    tab = np.exp((-2j * np.pi / np_ch) * np.outer(residues, k_signed))
-    return (tab * np_ch).astype(dtype)
-
-
-def channelize(frames: np.ndarray, window: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """out[..., m] = phase[..., m] * X[..., (m + Np/2) mod Np], X the forward-scaled
-    FFT of frames * window along the last axis. frames may be any strided
-    view; phase (rows of downconversion_table) broadcasts against them."""
-    spec = np.multiply(frames, window, order="C")
-    np_ch = spec.shape[-1]
-    get_plan(np_ch).forward(spec, axis=-1, out=spec)
-    # fft shift (swap the two Np halves) fused with the down-conversion
-    h = np_ch // 2
-    out = np.empty_like(spec)
-    np.multiply(spec[..., h:], phase[..., :h], out=out[..., :h])
-    np.multiply(spec[..., :h], phase[..., h:], out=out[..., h:])
-    return out
+def channelize(frames: np.ndarray, window: np.ndarray, residues) -> np.ndarray:
+    """out[i, ..., m] = Np * X[i, ..., (m + Np/2) mod Np] * exp(-i 2 pi r (m - Np/2) / Np),
+    X the forward-scaled FFT of frames * window along the last axis, for
+    frames[i] starting at a sample n with r = n mod Np = residues[i] mod Np.
+    frames may be any strided view; frames[i] and frames[i + Np] must share
+    a residue. By the shift theorem this is the forward-scaled FFT of the
+    windowed frame times Np * (-1)^(j + r) on sample j, rolled by r: the
+    factor is exact, so the window carries it, and the FFT runs in place.
+    """
+    np_ch = frames.shape[-1]
+    out = np.empty(frames.shape, dtype=np.result_type(frames, window, np.complex64))
+    # Np (-1)^j window[j] in the output type: the small multiplies below then
+    # skip numpy's buffered cast, and complex w + 0j rounds as the real w did
+    signed = (window * np_ch).astype(out.dtype)
+    signed[1::2] *= -1
+    by_parity = (signed, -signed)
+    for i in range(min(np_ch, len(frames))):
+        r = int(residues[i]) % np_ch
+        w, a, o = by_parity[r % 2], frames[i::np_ch], out[i::np_ch]
+        np.multiply(a[..., :np_ch - r], w[:np_ch - r], out=o[..., r:])
+        np.multiply(a[..., np_ch - r:], w[np_ch - r:], out=o[..., :r])
+    return get_plan(np_ch).forward(out, axis=-1, out=out)
 
 
 def rotation_factors(m1_out: int, cols: np.ndarray, n: int, dtype=np.complex128) -> np.ndarray:

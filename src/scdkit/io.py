@@ -55,7 +55,10 @@ def read_iq_csv(path) -> np.ndarray:
         float(head)
     except ValueError:
         skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or a short row
+        raise DataError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns, found {data.shape[1]}")
     return data[:, 0] + 1j * data[:, 1]

@@ -66,7 +66,8 @@ class DsssBpskConfig:
 
     processing_gain is the number of spreading chips per data symbol,
     chip_rate the chip rate as a fraction of the sample rate, and snr_db the
-    per-realization ratio of mean signal power to mean noise power.
+    per-realization ratio of mean signal power to mean noise power (+inf
+    for no noise; NaN and -inf are refused).
     """
 
     n_samples: int
@@ -82,6 +83,8 @@ class DsssBpskConfig:
             raise ConfigurationError("processing_gain must be >= 1")
         if not 0.0 < self.chip_rate <= 0.5:
             raise ConfigurationError("chip_rate must satisfy 0 < chip_rate <= 0.5")
+        if not self.snr_db > -np.inf:  # NaN fails too; +inf means no noise
+            raise ConfigurationError(f"snr_db must be a number above -inf, got {self.snr_db}")
 
     @property
     def samples_per_chip(self) -> int:

@@ -15,11 +15,11 @@ the cap bounds resident memory. Both stores produce bit-identical
 magnitudes.
 
 The CDP rows and both stages of the decomposed back end run their FFTs
-forward-scaled (FftPlan.forward, X / size), and each size rides in a small
-table that is multiplied in anyway: Np in the down-conversion phase table,
-N = M1*M2 in the rotation factors. Scaling by a power of two is exact, so
-the values equal those of unscaled FFTs bit for bit, with no rescaling pass
-over the data.
+forward-scaled (FftPlan.forward, X / size), and each size rides in a factor
+that is multiplied in anyway: Np in the channelizer's window, N = M1*M2 in
+the rotation factors. Scaling by a power of two is exact, so the values
+equal those of unscaled FFTs bit for bit, with no rescaling pass over the
+data.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from ._util import (block_ranges, complex_dtype, default_split, is_pow2, real_dt
                     run_partitioned)
 from .errors import CapacityError, ConfigurationError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import channelize, downconversion_table, get_plan, rotation_factors
+from .fftcore import channelize, get_plan, rotation_factors
 from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
 _DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
-_STRIP_ELEMS = 1 << 15       # values per stage-1 strip batch
+_STRIP_ELEMS = 1 << 16       # values per stage-1 strip batch
 _GROUP_ELEMS = 1 << 20       # stage-1 values staged channel-major per store write
 # stage-2 buffer rows are this many complex values longer than M1, so the
 # stage-2 FFT's column stride is not a power of two (one cache set)
@@ -122,7 +122,6 @@ class _CdpKernel:
     """
 
     def __init__(self, x: np.ndarray, cfg: SscaConfig):
-        cdt = complex_dtype(cfg.precision)
         rdt = real_dtype(cfg.precision)
         np_ch = cfg.Np
         self.cfg = cfg
@@ -131,22 +130,19 @@ class _CdpKernel:
         self.windows = sliding_frames(x, np_ch, np_ch // 2, 1, cfg.N)
         g = window_array(cfg.g_window, cfg.N).astype(rdt)
         self.scale = np.conj(x) * g
-        # down-conversion repeats with period Np in n
-        self.phase_by_residue = downconversion_table(np_ch, np.arange(np_ch), cdt)
 
     def rows(self, c0: int, c1: int, stride: int) -> np.ndarray:
         """CDP rows n = c + m*stride for c in [c0, c1) and m in [0, N/stride).
 
         Returned shaped (c1 - c0, N // stride, Np). stride = N gives the
         consecutive rows c0..c1; stride = M2 gives stage-1 column strips.
-        stride is a multiple of Np, so every row of column c shares the
-        down-conversion phase of residue c % Np, and every input is a view.
+        stride is a multiple of Np, so every row of column c starts on
+        residue c % Np, and every input is a view.
         """
         n, np_ch = self.cfg.N, self.cfg.Np
         per_col = n // stride
         windows = self.windows.reshape(per_col, stride, np_ch)[:, c0:c1].transpose(1, 0, 2)
-        phase = self.phase_by_residue[np.arange(c0, c1) % np_ch][:, None, :]
-        out = channelize(windows, self.window, phase)
+        out = channelize(windows, self.window, np.arange(c0, c1))
         out *= self.scale.reshape(per_col, stride)[:, c0:c1].T[:, :, None]
         return out
 

@@ -553,3 +553,88 @@ def test_fam_accepts_csv_input(tmp_path, capsys):
     assert rc == 0
     grid, _ = scdio.read_scd1(tmp_path / "o.scd1")
     assert grid.max() > 0
+
+
+@pytest.mark.parametrize("bad_row", ["foo,bar", "0.5"])
+def test_malformed_iq_csv_is_a_data_error(tmp_path, capsys, bad_row):
+    # a cell that is not a number, or a row with one column, used to end in
+    # numpy's ValueError with a traceback, exit 1
+    csv = tmp_path / "bad.csv"
+    csv.write_text("i,q\n0.1,0.2\n" + bad_row + "\n0.3,0.4\n")
+    out = tmp_path / "o.scd1"
+    rc = main(["fam", "-i", str(csv), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_gen_rejects_a_non_numeric_snr(tmp_path, capsys, snr):
+    # these used to write the noiseless signal with exit 0
+    out = tmp_path / "x.iq"
+    assert main(["gen", "--n", "1024", f"--snr={snr}", "-o", str(out)]) == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compare_unusable_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    # NaN and -1 used to print "tolerance exceeded" and exit 4
+    a = tmp_path / "a.scd1"
+    scdio.write_scd1(a, np.ones((4, 4)))
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(a), str(a), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("estimator,n,np_channels", [("fam", 512, 64), ("ssca", 4096, 32)])
+@pytest.mark.parametrize("target", ["profile_csv", "pgm"])
+def test_failed_export_writes_nothing(tmp_path, capsys, estimator, n, np_channels, target):
+    # a directory given for a later output used to leave the earlier ones
+    # behind after "wrote ..." and exit 3
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", str(n), "--seed", "2", "-o", str(iq)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"profile_csv": tmp_path / "p.csv", "pgm": tmp_path / "h.pgm"}
+    paths[target] = folder
+    out = tmp_path / "o.scd1"
+    capsys.readouterr()
+    rc = main([estimator, "-i", str(iq), "--n", str(n), "--np", str(np_channels),
+               "-o", str(out), "--profile-csv", str(paths["profile_csv"]),
+               "--pgm", str(paths["pgm"])])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out and str(folder) in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "x.iq"]
+    assert folder.is_dir() and list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("pgm_existed", [False, True], ids=["partial", "untouched"])
+def test_failed_export_removes_only_what_it_wrote(tmp_path, capsys, monkeypatch, pgm_existed):
+    # a PGM write that fails after creating its file removes that partial
+    # file and the SCD1; one that fails before opening an existing file
+    # leaves that file as it was
+    from scdkit import cli
+
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "512", "--seed", "2", "-o", str(iq)]) == 0
+    out, pgm = tmp_path / "o.scd1", tmp_path / "h.pgm"
+    if pgm_existed:
+        pgm.write_bytes(b"earlier")
+
+    def failing_pgm(path, grid, log_scale=False):
+        if not pgm_existed:
+            with open(path, "wb") as fh:
+                fh.write(b"P5\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.scdio, "write_pgm", failing_pgm)
+    rc = main(["fam", "-i", str(iq), "--n", "512", "--np", "64", "-o", str(out),
+               "--pgm", str(pgm)])
+    assert rc == 3
+    assert "No space" in capsys.readouterr().err
+    assert not out.exists()
+    assert pgm.read_bytes() == b"earlier" if pgm_existed else not pgm.exists()

@@ -67,18 +67,19 @@ def test_frame_equals_index_gather():
 
 
 def _unfused_demodulate(frames, cfg):
-    # demodulate in its unfused pass order: unscaled FFT (execute) down the
-    # columns, an index gather for the fft shift, then the phase gathered per
-    # frame from a 4-column table (the phase depends on p only through p mod 4)
+    # demodulate in its unfused pass order: window, then the fft shift and
+    # the down-conversion of frame p in their shift-theorem form (sample j
+    # times (-1)^(j + r), rolled by the frame's residue r = (p mod 4) L),
+    # then an unscaled FFT (execute) down the columns
     cdt = sk._util.complex_dtype(cfg.precision)
     a = sk.make_window(cfg.a_window).astype(sk._util.real_dtype(cfg.precision))
     y = frames.astype(cdt, copy=False) * a[:, None]
-    y = sk.get_plan(cfg.Np).execute(y, axis=0)
-    y = y[(np.arange(cfg.Np) + cfg.Np // 2) % cfg.Np, :]
-    m_signed = np.arange(cfg.Np) - cfg.Np // 2
-    table = np.exp((-2j * np.pi / 4.0) * np.outer(m_signed, np.arange(4))).astype(cdt)
-    y *= table[:, np.arange(cfg.P) % 4]
-    return y
+    for c in range(4):
+        r = c * cfg.L
+        cols = y[:, c::4]
+        cols[(r + 1) % 2::2] *= -1
+        y[:, c::4] = np.roll(cols, r, axis=0)
+    return sk.get_plan(cfg.Np).execute(y, axis=0)
 
 
 @pytest.mark.parametrize("kind", ["chebyshev", "hamming", "rectangular"])
@@ -86,7 +87,7 @@ def _unfused_demodulate(frames, cfg):
 @pytest.mark.parametrize("np_ch", [8, 16, 64, 256])
 def test_demodulate_equals_unfused_pass_order(np_ch, precision, kind):
     # the shared channelizer runs the FFT forward-scaled and folds Np into
-    # the phase table: bit-identical to the unscaled, gathered form
+    # the window: bit-identical to the unscaled, explicit roll form
     cfg = sk.FamConfig(N=4 * np_ch, Np=np_ch, precision=precision,
                        a_window=sk.WindowSpec(kind, np_ch))
     frames = sk.frame(sk.normalize(_random_series(cfg.N, seed=np_ch)), cfg)

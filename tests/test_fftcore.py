@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
-from scdkit.fftcore import channelize, downconversion_table
+from scdkit.fftcore import channelize
 
 SIZES = [8, 16, 64, 256, 1024, 4096]
 
@@ -158,29 +158,100 @@ def test_fft_shift_involution(half):
     assert np.array_equal(sk.fft_shift(sk.fft_shift(x)), x)
 
 
-def test_downconversion_table_rows():
-    # row r is exp(-i 2 pi r (m - Np/2) / Np) * Np; residue 0 is all Np
-    tab = downconversion_table(8, np.array([0, 2, 5]), np.complex128)
-    k = np.arange(8) - 4
-    assert tab.shape == (3, 8)
-    assert np.array_equal(tab[0], np.full(8, 8.0))
-    assert np.allclose(tab[2], 8.0 * np.exp(-2j * np.pi * 5 * k / 8), atol=1e-13)
-    assert downconversion_table(8, np.arange(8), np.complex64).dtype == np.complex64
+def _table(np_ch, residues, dtype):
+    # the down-conversion table rows exp(-i 2 pi r (m - Np/2) / Np) * Np,
+    # one per start-sample residue r, that channelize multiplied in after a
+    # half swap before it took the shift-theorem form. r (m - Np/2) is
+    # reduced mod Np first, so each phase is rounded once: unreduced, the
+    # rounding of the argument alone moved f64 phases by up to 8e-14 at Np = 256
+    k_signed = np.arange(np_ch) - np_ch // 2
+    tab = np.exp((-2j * np.pi / np_ch) * (np.outer(residues, k_signed) % np_ch))
+    return (tab * np_ch).astype(dtype)
+
+
+def _old_channelize(frames, window, phase):
+    # window, forward-scaled FFT, then the half swap fused with the table rows
+    spec = np.multiply(frames, window, order="C")
+    np_ch = spec.shape[-1]
+    sk.get_plan(np_ch).forward(spec, axis=-1, out=spec)
+    h = np_ch // 2
+    out = np.empty_like(spec)
+    np.multiply(spec[..., h:], phase[..., :h], out=out[..., :h])
+    np.multiply(spec[..., :h], phase[..., h:], out=out[..., h:])
+    return out
+
+
+def test_channelize_is_the_rolled_sign_folded_fft():
+    # frame i is multiplied by Np (-1)^(j + r_i) window[j], rolled by its
+    # residue r_i and transformed forward-scaled; residues reduce mod Np and
+    # frames i and i + Np share one, so 21 frames of 8 take 8 residues
+    rng = np.random.default_rng(3)
+    np_ch, count = 8, 21
+    shape = (count, 2, 2 * np_ch)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    frames = base.astype(np.complex64)[..., ::2]  # a strided view
+    before = frames.copy()
+    window = rng.standard_normal(np_ch).astype(np.float32)
+    offsets = np.array([0, 5, 2, 7, 1, 6, 3, 4])
+    residues = offsets[np.arange(count) % np_ch] + np_ch * (np.arange(count) // np_ch - 1)
+    out = channelize(frames, window, residues)
+    assert out.dtype == np.complex64 and out.shape == frames.shape and out.flags.c_contiguous
+    assert np.array_equal(frames, before)
+    j = np.arange(np_ch)
+    for i in range(count):
+        r = residues[i] % np_ch
+        signed = np.where((j + r) % 2, -window, window) * np.float32(np_ch)
+        u = np.roll(frames[i] * signed, r, axis=-1)
+        assert np.array_equal(out[i], sk.get_plan(np_ch).forward(u, axis=-1))
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_channelize_centres_and_down_converts(dtype):
-    # each frame is a unit tone at channel c: after the half swap its energy
-    # sits in column c + Np/2 as that column's phase (which carries the Np)
+    # each frame is a unit tone at channel c: it lands in column c + Np/2 as
+    # Np times the down-conversion phase exp(-i 2 pi r c / Np) of its residue r
     np_ch, c = 16, 3
     n = np.arange(np_ch)
-    frames = np.stack([np.exp(2j * np.pi * c * n / np_ch)] * 2).astype(dtype)
-    phase = downconversion_table(np_ch, np.array([0, 4]), dtype)
-    out = channelize(frames, np.ones(np_ch, dtype=frames.real.dtype), phase)
-    assert out.dtype == dtype and out.shape == (2, np_ch)
-    expected = np.zeros((2, np_ch), dtype=np.complex128)
-    expected[:, c + np_ch // 2] = phase[:, c + np_ch // 2]
+    residues = np.array([0, 4, 5])
+    frames = np.stack([np.exp(2j * np.pi * c * n / np_ch)] * 3).astype(dtype)
+    out = channelize(frames, np.ones(np_ch, dtype=frames.real.dtype), residues)
+    assert out.dtype == dtype and out.shape == (3, np_ch)
+    expected = np.zeros((3, np_ch), dtype=np.complex128)
+    expected[:, c + np_ch // 2] = np_ch * np.exp(-2j * np.pi * residues * c / np_ch)
     assert np.allclose(out, expected, atol=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 16, 32, 64, 128, 256]), st.sampled_from(["f32", "f64"]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_channelize_matches_the_table_formula(np_ch, precision, periods, seed):
+    # every residue, in frame batches one to three residue periods long (so
+    # frames past Np reuse the class of frame i mod Np), against the
+    # down-conversion table and half swap; FAM demodulate in f32 is bit for
+    # bit the table form (its residues are multiples of Np/4, whose phases
+    # the table rounded to within an ulp of a power of -i)
+    rng = np.random.default_rng(seed)
+    cdt, rdt = sk._util.complex_dtype(precision), sk._util.real_dtype(precision)
+    count = periods * np_ch + int(rng.integers(0, np_ch))
+    residues = rng.permutation(np_ch)[np.arange(count) % np_ch]
+    residues = residues + np_ch * rng.integers(-2, 3, count)
+    frames = (rng.standard_normal((count, 3, np_ch))
+              + 1j * rng.standard_normal((count, 3, np_ch))).astype(cdt)
+    window = rng.standard_normal(np_ch).astype(rdt)
+    ref = _old_channelize(frames, window, _table(np_ch, residues, cdt)[:, None, :])
+    # both sides round the same quantity differently: on white frames they
+    # were measured up to 2.5e-7 (2.1 ulp) apart in f32 and 7.9e-16 in f64
+    tol = 4e-7 if precision == "f32" else 1e-14
+    assert sk.peak_relative_error(channelize(frames, window, residues), ref) <= tol
+
+    kind = ["chebyshev", "hamming", "rectangular"][seed % 3]
+    cfg = sk.FamConfig(N=4 * np_ch, Np=np_ch, precision="f32",
+                       a_window=sk.WindowSpec(kind, np_ch))
+    x = rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N)
+    fr = sk.frame(sk.normalize(x), cfg)
+    a = sk.make_window(cfg.a_window).astype(np.float32)
+    phase = _table(np_ch, cfg.L * np.arange(4), np.complex64)
+    old = _old_channelize(fr.T.reshape(-1, 4, np_ch), a, phase).reshape(cfg.P, np_ch).T
+    assert np.array_equal(sk.demodulate(fr, cfg), old)
 
 
 def test_decomposed_impulse():

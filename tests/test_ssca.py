@@ -95,17 +95,20 @@ def test_cdp_matches_straight_line_reference(precision, tol):
 
 def _cdp_rows_gathered(kernel, x, n_idx):
     # the explicit form: gather every window element by index from a padded
-    # copy of x, then window, transform, shift, down-convert by residue and
-    # scale, row by row (the phase table carries the Np that the
-    # forward-scaled FFT leaves out)
+    # copy of x, then window, shift and down-convert in the shift-theorem
+    # form (sample j times (-1)^(j + r), rolled by the row's residue
+    # r = n mod Np), transform unscaled and scale, row by row
     np_ch = kernel.cfg.Np
     xpad = np.zeros(x.size + np_ch, dtype=x.dtype)
     xpad[np_ch // 2: np_ch // 2 + x.size] = x
     fr = xpad[n_idx[:, None] + np.arange(np_ch)[None, :]]
     fr *= kernel.window[None, :]
-    spec = sk.get_plan(np_ch).forward(fr, axis=1)
-    spec = spec[:, (np.arange(np_ch) + np_ch // 2) % np_ch]
-    spec *= kernel.phase_by_residue[n_idx % np_ch]
+    for r in range(np_ch):
+        rows = n_idx % np_ch == r
+        sel = fr[rows]
+        sel[:, (r + 1) % 2::2] *= -1
+        fr[rows] = np.roll(sel, r, axis=1)
+    spec = sk.get_plan(np_ch).execute(fr, axis=1)
     spec *= kernel.scale[n_idx][:, None]
     return spec
 
@@ -134,25 +137,24 @@ def test_cdp_rows_equal_gathered_rows(precision, n, np_ch, m1):
 
 def _unfused_2dfft_values(x, cfg):
     # the decomposed back end in its unfused pass order: every FFT unscaled
-    # (execute), the plain down-conversion phase and rotation factors,
-    # stage 1 in column strips into an (Np, M2, M1) array, stage 2 one
-    # channel at a time
+    # (execute), the shift and down-conversion of column c in their
+    # shift-theorem form (sample j times (-1)^(j + r), rolled by r = c mod Np),
+    # the plain rotation factors, stage 1 in column strips into an
+    # (Np, M2, M1) array, stage 2 one channel at a time
     kernel = ssca._CdpKernel(prepare_input(x, cfg.N, cfg.precision, True), cfg)
     n, np_ch, m1, m2 = cfg.N, cfg.Np, cfg.M1, cfg.M2
-    cdt, h = complex_dtype(cfg.precision), np_ch // 2
-    tab = np.exp((-2j * np.pi / np_ch) * np.outer(np.arange(np_ch), np.arange(np_ch) - h))
-    tab = tab.astype(cdt)
+    cdt = complex_dtype(cfg.precision)
     windows = kernel.windows.reshape(m1, m2, np_ch)
     scale = kernel.scale.reshape(m1, m2)
     stage1 = np.empty((np_ch, m2, m1), dtype=cdt)
     for c0, c1 in block_ranges(m2, max(1, (1 << 15) // (m1 * np_ch))):
         cols = np.arange(c0, c1)
         fr = np.multiply(windows[:, c0:c1].transpose(1, 0, 2), kernel.window, order="C")
-        spec = sk.get_plan(np_ch).execute(fr, axis=2)
-        rows = np.empty_like(spec)
-        phase = tab[cols % np_ch][:, None, :]
-        np.multiply(spec[..., h:], phase[..., :h], out=rows[..., :h])
-        np.multiply(spec[..., :h], phase[..., h:], out=rows[..., h:])
+        for i, c in enumerate(cols):
+            r = c % np_ch
+            fr[i, :, (r + 1) % 2::2] *= -1
+            fr[i] = np.roll(fr[i], r, axis=-1)
+        rows = sk.get_plan(np_ch).execute(fr, axis=2)
         rows *= scale[:, c0:c1].T[:, :, None]
         s1 = sk.get_plan(m1).execute(rows, axis=1)
         s1 *= rotation_factors(m1, cols, n, cdt).T[:, :, None]
@@ -170,8 +172,9 @@ def _unfused_2dfft_values(x, cfg):
 @pytest.mark.parametrize("n,np_ch,m1", [(4096, 32, 4), (4096, 32, 64), (8192, 64, 8),
                                         (1 << 14, 32, 16), (1 << 16, 64, 256)])
 def test_rescale_folds_are_exact(tmp_path, n, np_ch, m1, precision, spilled):
-    # the FFTs run forward-scaled and their sizes ride in the phase and
-    # rotation tables: the values must equal the unfused pass order bit for bit
+    # the FFTs run forward-scaled and their sizes ride in the channelizer's
+    # window and the rotation table: the values must equal the unfused pass
+    # order bit for bit
     x = _dsss(n, seed=n + m1)
     cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision=precision,
                         mem_cap_values=1 if spilled else 1 << 24, spill_dir=str(tmp_path))
