@@ -27,9 +27,9 @@ ALPHA_RANGE = (-1.0, 1.0)
 # even when a single row holds 2^20 bins.
 _GRID_CHUNK = 1 << 16
 
-# A monotone column range is rasterized by runs of one cell when its bins
-# average at least this many per run, counted from the cells at its ends;
-# shorter runs are cheaper to scatter bin by bin.
+# A lattice whose rows are monotone is rasterized by runs of one cell when
+# its bins average at least this many per run, counted from the cells at the
+# row ends; shorter runs are cheaper to scatter bin by bin.
 _RUN_MIN_MEAN = 64
 
 # Cells in the largest grid: its float64 buffer takes 512 MiB
@@ -201,25 +201,22 @@ class _Axis(NamedTuple):
 def _scatter_max(est, axes) -> np.ndarray:
     """Max of the bins in every cell of the axes, flat and row-major over them.
 
-    A channel-pair lattice, such as FAM's, is scattered through one cell
-    table per class of pairs (_scatter_pairs). Otherwise, along a column
-    range where col_offsets is monotone, every cell index of a row is a
+    One path takes the whole lattice. A channel-pair lattice, such as FAM's,
+    is scattered through one cell table per class of pairs (_scatter_pairs).
+    Otherwise, when col_offsets is monotone, every cell index of a row is a
     monotone step function of the column, since every step of _Axis.index
-    is monotone. Such a range is reduced run by run when its runs of one
-    cell are long (_RUN_MIN_MEAN); every other column is scattered bin by
-    bin. All paths give the same maxima.
+    is monotone, so the rows are reduced run by run when their runs of one
+    cell are long (_run_ends). Every other lattice is scattered bin by bin.
+    All paths give the same maxima.
     """
     grid = np.zeros(math.prod(axis.n_cells for axis in axes), dtype=np.float64)
     anti = _pair_kinds(est, axes)
     if anti is not None:
         _scatter_pairs(grid, est, axes, anti)
-        return grid
-    starts, stops, ends = _run_ranges(est, axes)
-    for c0, c1 in zip(np.r_[0, stops], np.r_[starts, est.values.shape[1]]):
-        if c0 < c1:
-            _scatter_bins(grid, est, axes, int(c0), int(c1))
-    if starts.size:
-        _scatter_runs(grid, est, axes, starts, stops, ends)
+    elif (ends := _run_ends(est, axes)) is not None:
+        _scatter_runs(grid, est, axes, ends)
+    else:
+        _scatter_bins(grid, est, axes)
     return grid
 
 
@@ -289,98 +286,76 @@ def _scatter_pairs(grid, est, axes, anti) -> None:
                 np.maximum.at(grid, index.reshape(-1), vals.reshape(-1))
 
 
-def _scatter_bins(grid, est, axes, c_lo, c_hi) -> None:
-    """Scatter the bins of columns [c_lo, c_hi) one by one, in blocks."""
-    rows = est.values.shape[0]
-    row_block, col_block = _block_shape(rows, c_hi - c_lo)
+def _scatter_bins(grid, est, axes) -> None:
+    """Scatter the bins one by one, in blocks."""
+    rows, cols = est.values.shape
+    row_block, col_block = _block_shape(rows, cols)
     size = row_block * col_block
     coord, vals = np.empty(size), np.empty(size)
     flat, part = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    # slope * col_offsets is +-0 when slope is 0 and the offsets are finite,
-    # so every bin of a row shares that axis's cell of its first column
-    finite = np.isfinite(est.col_offsets[c_lo:c_hi]).all()
-    for c0 in range(c_lo, c_hi, col_block):
-        c1 = min(c0 + col_block, c_hi)
-        offs = [axis.slope * est.col_offsets[c0:c0 + 1 if axis.slope == 0 and finite else c1]
-                for axis in axes]
-        for r0 in range(0, rows, row_block):
-            r1 = min(r0 + row_block, rows)
+    for c0, c1 in block_ranges(cols, col_block):
+        offs = [axis.slope * est.col_offsets[c0:c1] for axis in axes]
+        for r0, r1 in block_ranges(rows, row_block):
             n = (r1 - r0) * (c1 - c0)
             index = flat[:n].reshape(r1 - r0, c1 - c0)
             for i, (axis, off) in enumerate(zip(axes, offs)):
                 # the first axis fills the whole block; each further one is
                 # folded in row-major, like the reshaped grid
-                cells = index if i == 0 else part[:(r1 - r0) * off.size].reshape(r1 - r0, -1)
-                axis.index(axis.base[r0:r1, None], off,
-                           coord[:cells.size].reshape(cells.shape), cells)
+                cells = index if i == 0 else part[:n].reshape(index.shape)
+                axis.index(axis.base[r0:r1, None], off, coord[:n].reshape(index.shape), cells)
                 if i:
                     index *= axis.n_cells
                     index += cells
-            vals[:n].reshape(r1 - r0, c1 - c0)[...] = est.values[r0:r1, c0:c1]
+            vals[:n].reshape(index.shape)[...] = est.values[r0:r1, c0:c1]
             # one 1-D index and float64 values keep np.maximum.at on numpy's fast path
             np.maximum.at(grid, flat[:n], vals[:n])
 
 
-def _monotone_ranges(col_offsets):
-    """(starts, stops) of consecutive column ranges with monotone col_offsets.
+def _monotone(col_offsets) -> bool:
+    """Whether col_offsets is monotone along the whole row.
 
-    A range ends before a step whose direction differs from the previous
-    non-tie step, and around every NaN step; ties join either direction.
-    The steps are taken in blocks, so the scratch does not grow with cols.
+    Ties join either direction; a NaN step is in neither. The steps are
+    taken in blocks, so the scratch does not grow with cols.
     """
-    turns, last = [], 0  # last: direction of the latest non-tie step, 0 before any
+    rising = falling = True
     for c0, c1 in block_ranges(col_offsets.size - 1, _GRID_CHUNK):
-        step = np.sign(col_offsets[c0 + 1:c1 + 1] - col_offsets[c0:c1])
-        step[np.isnan(step)] = 2  # never equal to a real direction
-        moves = np.flatnonzero(step)
-        if moves.size:
-            dirs = np.concatenate(([last], step[moves]))
-            turn = (dirs[1:] == 2) | ((dirs[1:] != dirs[:-1]) & (dirs[:-1] != 0))
-            turns.append(moves[turn] + c0 + 1)
-            last = dirs[-1]
-    bounds = np.concatenate(([0], *turns, [col_offsets.size]))
-    return bounds[:-1], bounds[1:]
+        step = col_offsets[c0 + 1:c1 + 1] - col_offsets[c0:c1]
+        rising = rising and bool((step >= 0).all())
+        falling = falling and bool((step <= 0).all())
+        if not (rising or falling):
+            return False
+    return True
 
 
-def _run_ranges(est, axes):
-    """The monotone column ranges to rasterize by runs, with their end cells.
+def _run_ends(est, axes):
+    """Each axis's cells at both ends of every row, or None for no runs.
 
-    Returns starts, stops and, for each axis, the cells of every row at
-    both ends of each range, shaped (rows, ranges, 2). A range qualifies
-    when its mean run length, bins over the run count implied by the end
-    cells, is at least _RUN_MIN_MEAN, and every end coordinate converts
-    monotonically.
+    The rows are rasterized by runs when col_offsets is monotone, every end
+    coordinate converts monotonically, and the mean run length, bins over
+    the run count implied by the end cells, is at least _RUN_MIN_MEAN. The
+    cells come as one (rows, 2) array per axis.
     """
     rows, cols = est.values.shape
-    if cols < _RUN_MIN_MEAN:  # a run is never longer than its range
-        none = np.empty(0, dtype=np.int64)
-        return none, none, None
-    starts, stops = _monotone_ranges(est.col_offsets)
-    longer = stops - starts >= _RUN_MIN_MEAN
-    starts, stops = starts[longer], stops[longer]
-    end_cols = np.stack((starts, stops - 1), axis=1).reshape(-1)
-    shape = (rows, starts.size, 2)
-    ends, exact = [], np.ones(starts.size, dtype=bool)
+    # a run is never longer than its row
+    if cols < _RUN_MIN_MEAN or not _monotone(est.col_offsets):
+        return None
+    ends = []
     for axis in axes:
-        cells, coord = axis.cells(est.col_offsets, end_cols)
-        ends.append(cells.reshape(shape))
-        exact &= (np.abs(coord) < _INT64_LIMIT).reshape(shape).all(axis=(0, 2))
-    runs = (sum(np.abs(e[..., 1] - e[..., 0]) for e in ends) + 1).sum(axis=0)
-    take = exact & (rows * (stops - starts) >= _RUN_MIN_MEAN * runs)
-    return starts[take], stops[take], [e[:, take] for e in ends]
+        cells, coord = axis.cells(est.col_offsets, [0, cols - 1])
+        if not (np.abs(coord) < _INT64_LIMIT).all():
+            return None
+        ends.append(cells)
+    runs = (sum(np.abs(e[:, 1] - e[:, 0]) for e in ends) + 1).sum()
+    return ends if rows * cols >= _RUN_MIN_MEAN * runs else None
 
 
-def _scatter_runs(grid, est, axes, starts, stops, ends) -> None:
-    """Scatter the max of every run of one cell in the given column ranges."""
+def _scatter_runs(grid, est, axes, ends) -> None:
+    """Scatter the max of every run of one cell along the rows."""
     rows, cols = est.values.shape
-    row_starts = np.arange(rows)[:, None] * cols
-    first = (row_starts + starts).reshape(-1)
-    steps = [_cell_steps(axis, est.col_offsets, e, starts, stops) for axis, e in zip(axes, ends)]
-    run_starts = _sorted_unique(first, *(r * cols + c for r, c in steps))
-    # a range's last run ends at its stop, which is a bound of its own
-    last = (row_starts + stops).reshape(-1)
-    bounds = _sorted_unique(run_starts, last[last < rows * cols])
-    maxima = _run_maxima(est.values, bounds)[np.searchsorted(bounds, run_starts)]
+    steps = [_cell_steps(axis, est.col_offsets, e) for axis, e in zip(axes, ends)]
+    # every row start is a run start, so the run starts also bound the runs
+    run_starts = _sorted_unique(np.arange(rows) * cols, *(r * cols + c for r, c in steps))
+    maxima = _run_maxima(est.values, run_starts)
     r, c = np.divmod(run_starts, cols)
     cells = 0
     for axis in axes:
@@ -388,25 +363,24 @@ def _scatter_runs(grid, est, axes, starts, stops, ends) -> None:
     np.maximum.at(grid, cells, maxima.astype(np.float64))
 
 
-def _cell_steps(axis, col_offsets, ends, starts, stops):
-    """(row, column) of every change of the axis cell inside the ranges.
+def _cell_steps(axis, col_offsets, ends):
+    """(row, column) of every change of the axis cell along the rows.
 
-    For each (row, range) the cell moves monotonically from ends[..., 0] to
-    ends[..., 1]. Every cell value past the first is a target; its step is
-    the first column whose cell reaches it, found by bisection vectorised
-    over all targets of all rows.
+    Along row r the cell moves monotonically from ends[r, 0] to ends[r, 1].
+    Every cell value past the first is a target; its step is the first
+    column whose cell reaches it, found by bisection vectorised over all
+    targets of all rows.
     """
-    n_ranges = starts.size
-    first, last = ends[..., 0].reshape(-1), ends[..., 1].reshape(-1)
+    first, last = ends[:, 0], ends[:, 1]
     count = np.abs(last - first)
-    pair = np.repeat(np.arange(first.size), count)
-    direction = np.sign(last - first)[pair]
-    k = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count) + 1
-    target = first[pair] + direction * k
-    row, rng = np.divmod(pair, n_ranges)
+    row = np.repeat(np.arange(first.size), count)
+    direction = np.sign(last - first)[row]
+    k = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    target = first[row] + direction * k
     # the cell at lo has not reached the target; the cell at hi has
-    lo, hi = starts[rng], stops[rng] - 1
-    for _ in range(max(int((stops - starts).max()) - 2, 0).bit_length()):
+    cols = col_offsets.size
+    lo, hi = 0, np.full(row.size, cols - 1)
+    for _ in range(max(cols - 2, 0).bit_length()):
         mid = (lo + hi) >> 1
         reached = direction * (axis.cells(col_offsets, mid, row)[0] - target) >= 0
         hi = np.where(reached, mid, hi)

@@ -28,6 +28,13 @@ WINDOW_KINDS = ("chebyshev", "rectangular", "hamming")
 _PN_DEGREE = 5
 _PN_SEED_BITS = (0, 0, 0, 0, 1)
 
+# Below this SNR the noise power of the unit-power chips, 10^(-snr_db/10),
+# exceeds the float32 range of the written samples (about -385.3 dB).
+_SNR_DB_MIN = -10.0 * math.log10(float(np.finfo(np.float32).max))
+# From this SNR on the noise amplitude is below 1e-150 of the chips', and
+# 10^(snr_db/10) nears the float64 limit, so the noise is dropped as at +inf.
+_SNR_DB_NOISELESS = 3000.0
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -67,7 +74,8 @@ class DsssBpskConfig:
     processing_gain is the number of spreading chips per data symbol,
     chip_rate the chip rate as a fraction of the sample rate, and snr_db the
     per-realization ratio of mean signal power to mean noise power (+inf
-    for no noise; NaN and -inf are refused).
+    for no noise). An snr_db below _SNR_DB_MIN, whose noise power float32
+    samples cannot hold, is refused, and so are NaN and a negative seed.
     """
 
     n_samples: int
@@ -83,8 +91,12 @@ class DsssBpskConfig:
             raise ConfigurationError("processing_gain must be >= 1")
         if not 0.0 < self.chip_rate <= 0.5:
             raise ConfigurationError("chip_rate must satisfy 0 < chip_rate <= 0.5")
-        if not self.snr_db > -np.inf:  # NaN fails too; +inf means no noise
-            raise ConfigurationError(f"snr_db must be a number above -inf, got {self.snr_db}")
+        if not self.snr_db >= _SNR_DB_MIN:  # NaN fails too; +inf means no noise
+            raise ConfigurationError(
+                f"snr_db must be a number >= {_SNR_DB_MIN:.1f} dB (below it the noise power "
+                f"exceeds float32), got {self.snr_db}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def samples_per_chip(self) -> int:
@@ -131,7 +143,7 @@ def generate_dsss_bpsk(cfg: DsssBpskConfig) -> np.ndarray:
     chips = (symbols[:, None] * pn[None, :]).reshape(-1)[:n_chips]
     clean = np.repeat(chips, sps)[: cfg.n_samples].astype(np.complex128)
 
-    if not np.isfinite(cfg.snr_db):
+    if not cfg.snr_db < _SNR_DB_NOISELESS:
         return clean
     signal_power = float(np.mean(np.abs(clean) ** 2))
     noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))

@@ -9,6 +9,7 @@ import pytest
 import scdkit as sk
 from scdkit import io as scdio
 from scdkit.cli import main
+from scdkit.signal import _SNR_DB_MIN
 
 
 def _read_hash(capsys):
@@ -575,6 +576,42 @@ def test_gen_rejects_a_non_numeric_snr(tmp_path, capsys, snr):
     out = tmp_path / "x.iq"
     assert main(["gen", "--n", "1024", f"--snr={snr}", "-o", str(out)]) == 2
     assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", ["-4000", "-1000"])
+def test_gen_rejects_an_snr_past_the_float32_range(tmp_path, capsys, snr):
+    # -4000 used to end in ZeroDivisionError (exit 1); -1000 wrote infinite
+    # float32 samples with exit 0
+    out = tmp_path / "x.iq"
+    assert main(["gen", "--n", "1024", f"--snr={snr}", "-o", str(out)]) == 2
+    assert "snr_db" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_snr_extremes_inside_the_range(tmp_path):
+    # 4000 used to end in OverflowError (exit 1); it writes the noiseless
+    # signal, like +inf; the lowest accepted SNR writes finite samples
+    paths = {}
+    for snr in ("4000", "inf", repr(_SNR_DB_MIN)):
+        paths[snr] = tmp_path / f"x{len(paths)}.iq"
+        assert main(["gen", "--n", "1024", "--seed", "5", f"--snr={snr}",
+                     "-o", str(paths[snr])]) == 0
+    assert paths["4000"].read_bytes() == paths["inf"].read_bytes()
+    loudest = scdio.read_iq(paths[repr(_SNR_DB_MIN)])
+    assert np.isfinite(loudest.view(np.float32)).all() and np.abs(loudest).max() > 1e18
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "1024"],
+    ["bench", "fam", "--n", "512", "--np", "64", "--repeat", "1"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # numpy's "expected non-negative integer" used to end in a traceback, exit 1
+    out = tmp_path / "x.iq"
+    argv = command + ["--seed", "-1"] + (["-o", str(out)] if command[0] == "gen" else [])
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 

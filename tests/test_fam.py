@@ -422,7 +422,7 @@ def test_fam_pair_lattice_path_matches_reference(est, n_f, n_alpha, n_profile):
     n_profile = 2 * est.meta["N"] + 1 if n_profile is None else n_profile
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_scatter_bins", _refuse)
-        mp.setattr(estimate, "_run_ranges", _refuse)
+        mp.setattr(estimate, "_run_ends", _refuse)
         grid = sk.scd_to_grid(est, n_f, n_alpha)
         profile = sk.alpha_profile(est, n_profile)
     assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
@@ -453,7 +453,7 @@ def test_pair_lattice_path_on_toeplitz_and_hankel_bases(dtype, alpha_kind, f_kin
                          f_slope=0.05, alpha_slope=-0.2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_scatter_bins", _refuse)
-        mp.setattr(estimate, "_run_ranges", _refuse)
+        mp.setattr(estimate, "_run_ends", _refuse)
         grid = sk.scd_to_grid(est, 9, 13)
         profile = sk.alpha_profile(est, 11)
     assert np.isnan(grid).sum() == 1 and np.isnan(profile.values).sum() == 1
@@ -543,9 +543,11 @@ def test_fam_scd_retained_bins_match_naive_dft():
 @st.composite
 def _monotone_lattices(draw):
     # one to three monotone col_offsets ranges in either direction, with ties;
-    # the rng fills the long arrays, hypothesis draws the shape of the lattice
+    # a single range, so rows monotone throughout, in at least two thirds of
+    # the draws; the rng fills the long arrays, hypothesis draws the shape
     rows = draw(st.integers(1, 6))
-    lengths = draw(st.lists(st.integers(1, 1400), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.integers(1, 1400), min_size=1,
+                            max_size=draw(st.sampled_from([1, 1, 3]))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     pieces = []
     for n in lengths:
@@ -581,8 +583,9 @@ def _grid_by_bins(est, n_f, n_alpha):
 @given(_monotone_lattices(), st.integers(1, 64), st.integers(1, 64), st.integers(2, 300),
        st.sampled_from([0, 1, 8, 64]))
 def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, n_profile, run_min_mean):
-    # a low threshold sends most ranges down the runs path, the rest bin by bin;
-    # the profile rounds to its nearest cell where the grid truncates
+    # a low threshold sends most lattices of monotone rows down the runs path;
+    # the rest, and every lattice whose rows turn, go bin by bin; the profile
+    # rounds to its nearest cell where the grid truncates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_RUN_MIN_MEAN", run_min_mean)
         grid = sk.scd_to_grid(est, n_f, n_alpha)
@@ -602,31 +605,35 @@ def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, n_profile, run_
 @pytest.mark.parametrize("far", [np.inf, -np.inf, 1e300])
 @pytest.mark.parametrize("f_slope", [0.1, 0.0])
 def test_rasterizer_by_runs_leaves_unconvertible_ranges_to_bins(far, f_slope):
-    # ranges whose coordinates are infinite or past int64 convert to cells
-    # non-monotonically, so they must be scattered bin by bin; with f_slope
-    # 0, an infinite offset also makes the f cell differ within a row
+    # a monotone row whose far end is infinite or past int64 converts to
+    # cells non-monotonically (with f_slope 0, an infinite offset makes the f
+    # coordinate NaN), and a row that turns is no step function of the
+    # column, so both go bin by bin; the same row without its far end runs.
+    # The turn sits on a block boundary of the monotone check, so each block
+    # of steps is monotone on its own
     rng = np.random.default_rng(9)
-    offsets = np.concatenate((np.linspace(-3.0, 3.0, 700), [far] * 5,
-                              np.linspace(2.0, -2.0, 600), [far, 1.0, far]))
-    est = sk.ScdEstimate(
-        values=rng.random((3, offsets.size)),
-        f_base=np.array([-0.2, 0.0, 0.3]), alpha_base=np.array([0.5, -0.25, 0.0]),
-        col_offsets=offsets, f_slope=f_slope, alpha_slope=-0.3,
-    )
-    ran = []
-    scatter_runs = estimate._scatter_runs
-
-    def recording_scatter_runs(grid, est, axes, starts, *rest):
-        ran.append(starts)
-        scatter_runs(grid, est, axes, starts, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimate, "_RUN_MIN_MEAN", 1)
-        mp.setattr(estimate, "_scatter_runs", recording_scatter_runs)
-        grid = sk.scd_to_grid(est, 40, 70)
-    assert len(ran) == 1 and 0 < ran[0].size  # some ranges did run by runs
-    assert np.array_equal(grid, _grid_by_bins(est, 40, 70))
-    assert np.array_equal(grid, _grid_reference(est, 40, 70))
+    rising = np.linspace(-3.0, 3.0, 700) * np.sign(far)
+    rows = {"far": np.r_[rising, far], "turns": np.r_[rising, rising[::-1]], "runs": rising}
+    taken = {}
+    scatter_runs, scatter_bins = estimate._scatter_runs, estimate._scatter_bins
+    for name, offsets in rows.items():
+        est = sk.ScdEstimate(
+            values=rng.random((3, offsets.size)),
+            f_base=np.array([-0.2, 0.0, 0.3]), alpha_base=np.array([0.5, -0.25, 0.0]),
+            col_offsets=offsets, f_slope=f_slope, alpha_slope=-0.3,
+        )
+        paths = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimate, "_RUN_MIN_MEAN", 1)
+            mp.setattr(estimate, "_GRID_CHUNK", 100)
+            mp.setattr(estimate, "_scatter_runs",
+                       lambda *a: paths.append("runs") or scatter_runs(*a))
+            mp.setattr(estimate, "_scatter_bins",
+                       lambda *a: paths.append("bins") or scatter_bins(*a))
+            grid = sk.scd_to_grid(est, 40, 70)
+        taken[name] = paths
+        assert np.array_equal(grid, _grid_reference(est, 40, 70))
+    assert taken == {"far": ["bins"], "turns": ["bins"], "runs": ["runs"]}
 
 
 @pytest.mark.parametrize("rows,cols,order", [(64, 1 << 16, "F"), (2, 1 << 22, "C")])

@@ -486,6 +486,26 @@ def test_ssca_grid_by_runs_is_bit_identical(n, np_ch, m1, precision):
         assert len(hashes) == 1
 
 
+@pytest.mark.parametrize("n", [1 << 16, 1 << 18, 1 << 20])
+@pytest.mark.parametrize("np_ch", [32, 64, 256])
+def test_ssca_grid_takes_the_runs_path(n, np_ch):
+    # every SSCA row is monotone with long runs on the CLI's 1024 x 512 grid,
+    # so the grid is never scattered bin by bin; zero-stride values keep the
+    # lattice free, and the runs are only recorded, not scattered
+    values = np.broadcast_to(np.float32(1.0), (np_ch, n))
+    est = ssca._estimate_from_values(values, sk.SscaConfig(N=n, Np=np_ch), "ssca_2dfft")
+    taken = []
+
+    def refuse(*args):
+        raise AssertionError("an SSCA lattice was scattered bin by bin")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_scatter_bins", refuse)
+        mp.setattr(estimate, "_scatter_runs", lambda grid, est, axes, ends: taken.append(ends))
+        sk.ssca_to_grid(est, 512, 1024)
+    assert len(taken) == 1
+
+
 def test_ssca_2dfft_zero_input():
     est = sk.ssca_2dfft(np.zeros(4096, dtype=complex), _cfg(mode="decomposed_2d"))
     assert np.all(est.values == 0.0)
