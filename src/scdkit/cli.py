@@ -24,12 +24,12 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .estimate import ALPHA_RANGE, F_RANGE, alpha_profile, check_grid_capacity
-from .fam import FamConfig, fam_full, fam_to_grid
+from .estimate import ALPHA_RANGE, F_RANGE, alpha_profile, check_grid_capacity, scd_to_grid
+from .fam import FamConfig, fam_full
 from .oracle import error_stats
 from .planner import format_report, plan_fam, plan_ssca
 from .signal import DsssBpskConfig, WindowSpec, generate_dsss_bpsk
-from .ssca import SscaConfig, ssca_full, ssca_to_grid
+from .ssca import SscaConfig, ssca_full
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -45,13 +45,13 @@ def _load_input(path, expected_n: int) -> np.ndarray:
     return x
 
 
-def _export(est, grid_fn, args) -> None:
+def _export(est, args) -> None:
     """Write the SCD1 grid, then the optional profile CSV and PGM.
 
     A failed step removes the files this run wrote, including a partial
     file the step itself created, so a failed run leaves no outputs.
     """
-    grid = grid_fn(est, args.f_bins, args.alpha_bins)
+    grid = scd_to_grid(est, args.f_bins, args.alpha_bins)
     steps = [(args.output, lambda path: scdio.write_scd1(
         path, grid, ALPHA_RANGE, F_RANGE, precision=args.precision))]
     if args.profile_csv:
@@ -107,7 +107,7 @@ def cmd_fam(args) -> int:
     elapsed = time.perf_counter() - t0
     print(f"fam: N={args.n} Np={args.np} precision={args.precision} "
           f"bins={est.n_bins} elapsed={elapsed * 1000.0:.1f} ms")
-    _export(est, fam_to_grid, args)
+    _export(est, args)
     return 0
 
 
@@ -129,7 +129,7 @@ def cmd_ssca(args) -> int:
     elapsed = time.perf_counter() - t0
     print(f"ssca: N={args.n} Np={args.np} M1={cfg.M1} mode={args.mode} "
           f"precision={args.precision} bins={est.n_bins} elapsed={elapsed * 1000.0:.1f} ms")
-    _export(est, ssca_to_grid, args)
+    _export(est, args)
     return 0
 
 
@@ -170,7 +170,7 @@ def cmd_bench(args) -> int:
         run = lambda: fam_full(x, cfg, threads=args.threads)
     else:
         cfg = SscaConfig(N=args.n, Np=args.np, M1=args.m1, precision=args.precision)
-        run = lambda: ssca_full(x, cfg, threads=args.threads)
+        run = lambda: ssca_full(x, cfg)
     times = []
     est = None
     for i in range(args.repeat):
@@ -288,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     bf = bsub.add_parser("fam")
     bf.add_argument("--n", type=int, default=2048)
     bf.add_argument("--np", type=int, default=256)
+    bf.add_argument("--threads", type=_positive_int, default=1)
     bf.set_defaults(func=cmd_bench, estimator="fam")
     bs = bsub.add_parser("ssca")
     bs.add_argument("--n", type=int, default=1 << 12)
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     bs.set_defaults(func=cmd_bench, estimator="ssca")
     for bp in (bf, bs):
         bp.add_argument("--repeat", type=_positive_int, default=10)
-        bp.add_argument("--threads", type=_positive_int, default=1)
         bp.add_argument("--precision", default="f32", choices=("f32", "f64"))
         bp.add_argument("--seed", type=int, default=0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -199,28 +200,34 @@ class _Axis(NamedTuple):
 
 
 def _scatter_max(est, axes) -> np.ndarray:
-    """Max of the bins in every cell of the axes, flat and row-major over them.
-
-    One path takes the whole lattice. A channel-pair lattice, such as FAM's,
-    is scattered through one cell table per class of pairs (_scatter_pairs).
-    Otherwise, when col_offsets is monotone, every cell index of a row is a
-    monotone step function of the column, since every step of _Axis.index
-    is monotone, so the rows are reduced run by run when their runs of one
-    cell are long (_run_ends). Every other lattice is scattered bin by bin.
-    All paths give the same maxima.
-    """
+    """Max of the bins in every cell of the axes, flat and row-major over them."""
     grid = np.zeros(math.prod(axis.n_cells for axis in axes), dtype=np.float64)
-    anti = _pair_kinds(est, axes)
-    if anti is not None:
-        _scatter_pairs(grid, est, axes, anti)
-    elif (ends := _run_ends(est, axes)) is not None:
-        _scatter_runs(grid, est, axes, ends)
-    else:
-        _scatter_bins(grid, est, axes)
+    _scatter_plan(est.values.shape, est.col_offsets, axes)(grid, est.values, 0)
     return grid
 
 
-def _pair_kinds(est, axes):
+def _scatter_plan(shape, col_offsets, axes):
+    """apply(grid, values, row0), which scatters the lattice's rows from row0 on.
+
+    The plan reads the layout alone; values is any block of the rows, and
+    the applies of blocks that cover the lattice give the maxima of one
+    whole apply, since max is exact and order-free. One path takes the
+    whole lattice. A channel-pair lattice, such as FAM's, is scattered
+    through one cell table per class of pairs (_scatter_pairs), in blocks
+    of whole channels. Otherwise, when col_offsets is monotone, every cell
+    index of a row is a monotone step function of the column, since every
+    step of _Axis.index is monotone, so the rows are reduced run by run when
+    their runs of one cell are long (_run_plan). Every other lattice is
+    scattered bin by bin. All paths give the same maxima.
+    """
+    if (anti := _pair_kinds(shape[0], axes)) is not None:
+        return partial(_scatter_pairs, col_offsets, axes, anti)
+    if (runs := _run_plan(shape, col_offsets, axes)) is not None:
+        return partial(_scatter_runs, *runs)
+    return partial(_scatter_bins, col_offsets, axes)
+
+
+def _pair_kinds(rows, axes):
     """For each axis, whether it follows the anti-diagonals of a pair lattice.
 
     The rows form a pair lattice when there are R x R of them, R >= 2, row
@@ -230,7 +237,6 @@ def _pair_kinds(est, axes):
     equality, so a NaN base never passes. A base that passes both takes
     the kind of the other axes. Returns None for any other lattice.
     """
-    rows = est.values.shape[0]
     r = math.isqrt(rows)
     if r < 2 or r * r != rows:
         return None
@@ -247,54 +253,55 @@ def _pair_kinds(est, axes):
     return [not diagonal for diagonal, _ in fits]
 
 
-def _scatter_pairs(grid, est, axes, anti) -> None:
-    """Scatter a pair lattice (_pair_kinds) through one cell table per kind.
+def _scatter_pairs(col_offsets, axes, anti, grid, values, row0) -> None:
+    """Scatter the channels of a pair lattice (_pair_kinds) from row0 on.
 
     The rows of one class of pairs, a diagonal or an anti-diagonal, share
     a base, so an axis's cells form a (2R - 1, cols) table, computed by
     _Axis.index on one base per class: the same float as bin by bin. The
     rows of channel k read the table rows [R - 1 - k, 2R - 1 - k) along
     diagonals and [k, k + R) along anti-diagonals. When every axis is of
-    one kind, the rows of a class share every cell, so the lattice is first
+    one kind, the rows of a class share every cell, so the block is first
     reduced to one maximum per class and column.
     """
-    rows, cols = est.values.shape
-    r = math.isqrt(rows)
+    r = math.isqrt(axes[0].base.size)
+    channels = list(enumerate(range(row0 // r, (row0 + values.shape[0]) // r)))
+    cols = values.shape[1]
     # a table of (2R - 1) x col_block cells stays within one block
     for c0, c1 in block_ranges(cols, max(1, _GRID_CHUNK // (2 * r - 1))):
         tables, stride = {}, 1  # flat cells of each kind, row-major over the axes
         for axis, kind in reversed(list(zip(axes, anti))):
             b = axis.base.reshape(r, r)
             reps = np.concatenate((b[0], b[1:, -1]) if kind else (b[:0:-1, 0], b[0]))
-            cells = axis._replace(base=reps).cells(est.col_offsets, slice(c0, c1))[0]
+            cells = axis._replace(base=reps).cells(col_offsets, slice(c0, c1))[0]
             tables[kind] = tables.get(kind, 0) + cells * stride
             stride *= axis.n_cells
         if len(tables) == 1:
             (kind, table), = tables.items()
             # maxima in the values' float type, cast exactly for the scatter
-            peaks = np.full(table.shape, -np.inf, np.promote_types(est.values.dtype, np.float32))
-            for k in range(r):
+            peaks = np.full(table.shape, -np.inf, np.promote_types(values.dtype, np.float32))
+            for i, k in channels:
                 window = peaks[k:k + r] if kind else peaks[r - 1 - k:2 * r - 1 - k]
-                np.maximum(window, est.values[k * r:(k + 1) * r, c0:c1], out=window)
+                np.maximum(window, values[i * r:(i + 1) * r, c0:c1], out=window)
             np.maximum.at(grid, table.reshape(-1), peaks.reshape(-1).astype(np.float64))
         else:
             index = np.empty((r, c1 - c0), dtype=np.int64)
             vals = np.empty((r, c1 - c0))
-            for k in range(r):
+            for i, k in channels:
                 np.add(tables[False][r - 1 - k:2 * r - 1 - k], tables[True][k:k + r], out=index)
-                vals[...] = est.values[k * r:(k + 1) * r, c0:c1]
+                vals[...] = values[i * r:(i + 1) * r, c0:c1]
                 np.maximum.at(grid, index.reshape(-1), vals.reshape(-1))
 
 
-def _scatter_bins(grid, est, axes) -> None:
-    """Scatter the bins one by one, in blocks."""
-    rows, cols = est.values.shape
+def _scatter_bins(col_offsets, axes, grid, values, row0) -> None:
+    """Scatter the bins from row row0 on one by one, in blocks."""
+    rows, cols = values.shape
     row_block, col_block = _block_shape(rows, cols)
     size = row_block * col_block
     coord, vals = np.empty(size), np.empty(size)
     flat, part = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     for c0, c1 in block_ranges(cols, col_block):
-        offs = [axis.slope * est.col_offsets[c0:c1] for axis in axes]
+        offs = [axis.slope * col_offsets[c0:c1] for axis in axes]
         for r0, r1 in block_ranges(rows, row_block):
             n = (r1 - r0) * (c1 - c0)
             index = flat[:n].reshape(r1 - r0, c1 - c0)
@@ -302,11 +309,12 @@ def _scatter_bins(grid, est, axes) -> None:
                 # the first axis fills the whole block; each further one is
                 # folded in row-major, like the reshaped grid
                 cells = index if i == 0 else part[:n].reshape(index.shape)
-                axis.index(axis.base[r0:r1, None], off, coord[:n].reshape(index.shape), cells)
+                base = axis.base[row0 + r0:row0 + r1, None]
+                axis.index(base, off, coord[:n].reshape(index.shape), cells)
                 if i:
                     index *= axis.n_cells
                     index += cells
-            vals[:n].reshape(index.shape)[...] = est.values[r0:r1, c0:c1]
+            vals[:n].reshape(index.shape)[...] = values[r0:r1, c0:c1]
             # one 1-D index and float64 values keep np.maximum.at on numpy's fast path
             np.maximum.at(grid, flat[:n], vals[:n])
 
@@ -327,40 +335,43 @@ def _monotone(col_offsets) -> bool:
     return True
 
 
-def _run_ends(est, axes):
-    """Each axis's cells at both ends of every row, or None for no runs.
+def _run_plan(shape, col_offsets, axes):
+    """(starts, cells, cuts) of the runs of one cell along the rows, or None.
 
     The rows are rasterized by runs when col_offsets is monotone, every end
     coordinate converts monotonically, and the mean run length, bins over
-    the run count implied by the end cells, is at least _RUN_MIN_MEAN. The
-    cells come as one (rows, 2) array per axis.
+    the run count implied by each axis's cells at both row ends, is at
+    least _RUN_MIN_MEAN. Run i starts at column starts[i] of its row and
+    lands in the flat cell cells[i]; the runs of row r are cuts[r]:cuts[r + 1].
     """
-    rows, cols = est.values.shape
+    rows, cols = shape
     # a run is never longer than its row
-    if cols < _RUN_MIN_MEAN or not _monotone(est.col_offsets):
+    if cols < _RUN_MIN_MEAN or not _monotone(col_offsets):
         return None
     ends = []
     for axis in axes:
-        cells, coord = axis.cells(est.col_offsets, [0, cols - 1])
+        cells, coord = axis.cells(col_offsets, [0, cols - 1])
         if not (np.abs(coord) < _INT64_LIMIT).all():
             return None
         ends.append(cells)
-    runs = (sum(np.abs(e[:, 1] - e[:, 0]) for e in ends) + 1).sum()
-    return ends if rows * cols >= _RUN_MIN_MEAN * runs else None
-
-
-def _scatter_runs(grid, est, axes, ends) -> None:
-    """Scatter the max of every run of one cell along the rows."""
-    rows, cols = est.values.shape
-    steps = [_cell_steps(axis, est.col_offsets, e) for axis, e in zip(axes, ends)]
-    # every row start is a run start, so the run starts also bound the runs
-    run_starts = _sorted_unique(np.arange(rows) * cols, *(r * cols + c for r, c in steps))
-    maxima = _run_maxima(est.values, run_starts)
-    r, c = np.divmod(run_starts, cols)
+    if rows * cols < _RUN_MIN_MEAN * (sum(np.abs(e[:, 1] - e[:, 0]) for e in ends) + 1).sum():
+        return None
+    steps = [_cell_steps(axis, col_offsets, e) for axis, e in zip(axes, ends)]
+    # every row start is a run start, so one row's runs cover it from column 0
+    starts = _sorted_unique(np.arange(rows) * cols, *(r * cols + c for r, c in steps))
+    row, col = np.divmod(starts, cols)
     cells = 0
     for axis in axes:
-        cells = cells * axis.n_cells + axis.cells(est.col_offsets, c, r)[0]
-    np.maximum.at(grid, cells, maxima.astype(np.float64))
+        cells = cells * axis.n_cells + axis.cells(col_offsets, col, row)[0]
+    return col, cells, np.searchsorted(row, np.arange(rows + 1))
+
+
+def _scatter_runs(starts, cells, cuts, grid, values, row0) -> None:
+    """Scatter the max of every run (_run_plan) of the rows from row0 on."""
+    for r, row in enumerate(values, row0):
+        runs = slice(cuts[r], cuts[r + 1])
+        maxima = np.maximum.reduceat(row, starts[runs])
+        np.maximum.at(grid, cells[runs], maxima.astype(np.float64))
 
 
 def _cell_steps(axis, col_offsets, ends):
@@ -396,18 +407,3 @@ def _sorted_unique(*parts):
     """
     a = np.sort(np.concatenate(parts))
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
-def _run_maxima(values, bounds):
-    """np.maximum over values.ravel()[bounds[i]:bounds[i + 1]], the last to the end.
-
-    values is never copied: a non-contiguous array is reduced row by row.
-    """
-    if values.flags.c_contiguous:
-        return np.maximum.reduceat(values.reshape(-1), bounds)
-    rows, cols = values.shape
-    cuts = np.searchsorted(bounds, np.arange(rows + 1) * cols)
-    return np.concatenate([
-        np.maximum.reduceat(values[r], bounds[cuts[r]:cuts[r + 1]] - r * cols)
-        for r in range(rows) if cuts[r] < cuts[r + 1]
-    ])

@@ -23,6 +23,7 @@ _SCD1_HEADER = struct.Struct("<4sIIIddddI")
 _PRECISION_FLAGS = {"f32": 0, "f64": 1}
 _PAYLOAD_DTYPES = {0: "<f4", 1: "<f8"}
 _CSV_BLOCK_ROWS = 4096  # profile rows per formatted string
+_SCD1_BLOCK_VALUES = 1 << 16  # grid values cast per payload write
 
 
 def write_iq(path, x) -> None:
@@ -71,7 +72,11 @@ def write_scd1(
     f_range=(-0.5, 0.5),
     precision: str = "f32",
 ) -> None:
-    """Write a rasterized SCD grid (rows = alpha bins, cols = f bins)."""
+    """Write a rasterized SCD grid (rows = alpha bins, cols = f bins).
+
+    The payload is cast a block of rows at a time, so the scratch stays
+    small at any grid size.
+    """
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise DataError(f"grid must be 2-D, got shape {grid.shape}")
@@ -91,7 +96,9 @@ def write_scd1(
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(grid, dtype=_PAYLOAD_DTYPES[flag]))
+        row_block = max(1, _SCD1_BLOCK_VALUES // max(1, grid.shape[1]))
+        for r0, r1 in block_ranges(grid.shape[0], row_block):
+            fh.write(np.ascontiguousarray(grid[r0:r1], dtype=_PAYLOAD_DTYPES[flag]))
 
 
 def read_scd1(path):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -243,12 +242,9 @@ def make_window(spec: WindowSpec) -> np.ndarray:
     raise ConfigurationError(f"unsupported window kind {spec.kind!r}")
 
 
-def window_array(spec_or_array, length: Optional[int] = None) -> np.ndarray:
-    """Accept a WindowSpec or a ready-made array; check length if given."""
-    if isinstance(spec_or_array, WindowSpec):
-        w = make_window(spec_or_array)
-    else:
-        w = np.asarray(spec_or_array, dtype=np.float64)
+def window_array(spec: WindowSpec, length: int | None = None) -> np.ndarray:
+    """The window a WindowSpec asks for; check its length if given."""
+    w = make_window(spec)
     if length is not None and w.shape != (length,):
         raise ConfigurationError(f"window length {w.shape} does not match required ({length},)")
     return w

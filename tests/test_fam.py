@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scdkit as sk
@@ -422,7 +422,7 @@ def test_fam_pair_lattice_path_matches_reference(est, n_f, n_alpha, n_profile):
     n_profile = 2 * est.meta["N"] + 1 if n_profile is None else n_profile
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_scatter_bins", _refuse)
-        mp.setattr(estimate, "_run_ends", _refuse)
+        mp.setattr(estimate, "_run_plan", _refuse)
         grid = sk.scd_to_grid(est, n_f, n_alpha)
         profile = sk.alpha_profile(est, n_profile)
     assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
@@ -453,7 +453,7 @@ def test_pair_lattice_path_on_toeplitz_and_hankel_bases(dtype, alpha_kind, f_kin
                          f_slope=0.05, alpha_slope=-0.2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_scatter_bins", _refuse)
-        mp.setattr(estimate, "_run_ends", _refuse)
+        mp.setattr(estimate, "_run_plan", _refuse)
         grid = sk.scd_to_grid(est, 9, 13)
         profile = sk.alpha_profile(est, 11)
     assert np.isnan(grid).sum() == 1 and np.isnan(profile.values).sum() == 1
@@ -579,9 +579,21 @@ def _grid_by_bins(est, n_f, n_alpha):
         return sk.scd_to_grid(est, n_f, n_alpha)
 
 
+def _last_column_step():
+    # every row keeps one f cell up to its last column, where it moves two
+    # cells on an 8-column grid: the bisection must reach column cols - 1
+    cols = 100
+    return sk.ScdEstimate(
+        values=np.linspace(1.0, 2.0, 2 * cols).reshape(2, cols),
+        f_base=np.array([-0.1, 0.2]), alpha_base=np.array([0.3, -0.6]),
+        col_offsets=np.r_[np.zeros(cols - 1), 1.0], f_slope=0.25, alpha_slope=0.0,
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(_monotone_lattices(), st.integers(1, 64), st.integers(1, 64), st.integers(2, 300),
        st.sampled_from([0, 1, 8, 64]))
+@example(est=_last_column_step(), n_f=8, n_alpha=4, n_profile=9, run_min_mean=1)
 def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, n_profile, run_min_mean):
     # a low threshold sends most lattices of monotone rows down the runs path;
     # the rest, and every lattice whose rows turn, go bin by bin; the profile
@@ -599,6 +611,56 @@ def test_rasterizer_by_runs_matches_reference(est, n_f, n_alpha, n_profile, run_
         # the references compute float32 bases in float32, the rasterizer in float64
         assert np.array_equal(grid, _grid_reference(est, n_f, n_alpha))
         assert np.array_equal(profile.values, _profile_reference(est, n_profile))
+
+
+def _ssca_shaped(rows, cols):
+    k = np.arange(rows) - rows // 2
+    return sk.ScdEstimate(
+        values=np.random.default_rng(12).random((rows, cols), dtype=np.float32),
+        f_base=k / (2.0 * rows), alpha_base=k / float(rows),
+        col_offsets=(np.arange(cols) - cols // 2).astype(np.float64),
+        f_slope=-0.5 / cols, alpha_slope=1.0 / cols,
+    )
+
+
+def _fam_pair_lattice():
+    cfg = sk.FamConfig(N=1024, Np=32)
+    rng = np.random.default_rng(13)
+    return sk.fam_scd(rng.standard_normal((32, cfg.P)) + 1j * rng.standard_normal((32, cfg.P)),
+                      cfg)
+
+
+@pytest.mark.parametrize("lattice,rasterize,block,path", [
+    # an SSCA grid one channel at a time, a FAM grid three whole channels
+    # (96 rows) at a time, and an SSCA profile at 2N + 1 points, five rows
+    # at a time
+    (lambda: _ssca_shaped(64, 1 << 16), lambda est: sk.scd_to_grid(est, 512, 1024), 1,
+     "_scatter_runs"),
+    (_fam_pair_lattice, lambda est: sk.scd_to_grid(est, 512, 1024), 96, "_scatter_pairs"),
+    (lambda: _ssca_shaped(64, 1 << 16),
+     lambda est: sk.alpha_profile(est, 2 * est.values.shape[1] + 1).values, 5, "_scatter_bins"),
+])
+def test_rasterizer_plan_applied_by_row_blocks_matches_one_apply(lattice, rasterize, block, path):
+    # the plan reads the layout alone, so applying it to each row block in
+    # turn gives the maxima of one whole apply, bit for bit
+    est = lattice()
+    scatter_plan, taken = estimate._scatter_plan, []
+
+    def by_blocks(shape, col_offsets, axes):
+        plan = scatter_plan(shape, col_offsets, axes)
+        taken.append(plan.func.__name__)
+
+        def apply(grid, values, row0):
+            for r0 in range(0, values.shape[0], block):
+                plan(grid, values[r0:r0 + block], row0 + r0)
+        return apply
+
+    whole = rasterize(est)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_scatter_plan", by_blocks)
+        blocks = rasterize(est)
+    assert taken == [path]
+    assert np.array_equal(blocks, whole)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

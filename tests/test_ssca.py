@@ -501,7 +501,7 @@ def test_ssca_grid_takes_the_runs_path(n, np_ch):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimate, "_scatter_bins", refuse)
-        mp.setattr(estimate, "_scatter_runs", lambda grid, est, axes, ends: taken.append(ends))
+        mp.setattr(estimate, "_scatter_runs", lambda *plan_and_block: taken.append(plan_and_block))
         sk.ssca_to_grid(est, 512, 1024)
     assert len(taken) == 1
 
