@@ -1,7 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data or
-file-system error, 4 tolerance failure in compare.
+Exit codes: 0 success, 2 usage or configuration error, 3 data,
+file-system or capacity error (out of memory included), 4 tolerance
+failure in compare.
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (DataError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except MemoryError as exc:  # _export has already removed any partial outputs
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return DATA_ERROR
 
 

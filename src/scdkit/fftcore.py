@@ -91,28 +91,29 @@ def fft_shift(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.roll(x, -(n // 2), axis=axis)
 
 
-def channelize(frames: np.ndarray, window: np.ndarray, residues) -> np.ndarray:
+def channelize(frames: np.ndarray, window: np.ndarray, residues, out=None) -> np.ndarray:
     """out[i, ..., m] = Np * X[i, ..., (m + Np/2) mod Np] * exp(-i 2 pi r (m - Np/2) / Np),
     X the forward-scaled FFT of frames * window along the last axis, for
     frames[i] starting at a sample n with r = n mod Np = residues[i] mod Np.
     frames may be any strided view; frames[i] and frames[i + Np] must share
     a residue. By the shift theorem this is the forward-scaled FFT of the
     windowed frame times Np * (-1)^(j + r) on sample j, rolled by r: the
-    factor is exact, so the window carries it, and the FFT runs in place.
+    factor is exact, so the window carries it, and the FFT runs in place,
+    or into out, any view of frames' shape, when one is given.
     """
     np_ch = frames.shape[-1]
-    out = np.empty(frames.shape, dtype=np.result_type(frames, window, np.complex64))
+    buf = np.empty(frames.shape, dtype=np.result_type(frames, window, np.complex64))
     # Np (-1)^j window[j] in the output type: the small multiplies below then
     # skip numpy's buffered cast, and complex w + 0j rounds as the real w did
-    signed = (window * np_ch).astype(out.dtype)
+    signed = (window * np_ch).astype(buf.dtype)
     signed[1::2] *= -1
     by_parity = (signed, -signed)
     for i in range(min(np_ch, len(frames))):
         r = int(residues[i]) % np_ch
-        w, a, o = by_parity[r % 2], frames[i::np_ch], out[i::np_ch]
+        w, a, o = by_parity[r % 2], frames[i::np_ch], buf[i::np_ch]
         np.multiply(a[..., :np_ch - r], w[:np_ch - r], out=o[..., r:])
         np.multiply(a[..., np_ch - r:], w[np_ch - r:], out=o[..., :r])
-    return get_plan(np_ch).forward(out, axis=-1, out=out)
+    return get_plan(np_ch).forward(buf, axis=-1, out=buf if out is None else out)
 
 
 def rotation_factors(m1_out: int, cols: np.ndarray, n: int, dtype=np.complex128) -> np.ndarray:

@@ -49,8 +49,11 @@ def read_iq(path) -> np.ndarray:
 def read_iq_csv(path) -> np.ndarray:
     """Read a two-column (I, Q) CSV; a single header line is tolerated."""
     skip = 0
-    with open(path, "r") as fh:
-        first = fh.readline()
+    try:
+        with open(path, "r") as fh:
+            first = fh.readline()
+    except UnicodeDecodeError as exc:  # text-mode reads decode ahead of the first line
+        raise DataError(f"{path}: not a text file: {exc}") from exc
     head = first.split(",")[0].strip()
     try:
         float(head)
@@ -58,7 +61,7 @@ def read_iq_csv(path) -> np.ndarray:
         skip = 1
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError as exc:  # a cell that is not a number, or a short row
+    except ValueError as exc:  # a cell that is not a number, a short row, or bytes not text
         raise DataError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns, found {data.shape[1]}")

@@ -40,11 +40,10 @@ from .fftcore import channelize, get_plan, rotation_factors
 from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
 _CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
-_DIRECT_COL_ELEMS = 1 << 23  # column-FFT workspace bound for the direct back end
 _STRIP_ELEMS = 1 << 16       # values per stage-1 strip batch
 _GROUP_ELEMS = 1 << 20       # stage-1 values staged channel-major per store write
-# stage-2 buffer rows are this many complex values longer than M1, so the
-# stage-2 FFT's column stride is not a power of two (one cache set)
+# rows of stage 2's buffer and of the direct CDP are this many complex values
+# longer than a power of two, so a pass across rows does not hit one cache set
 _PAD = 8
 
 
@@ -131,18 +130,18 @@ class _CdpKernel:
         g = window_array(cfg.g_window, cfg.N).astype(rdt)
         self.scale = np.conj(x) * g
 
-    def rows(self, c0: int, c1: int, stride: int) -> np.ndarray:
+    def rows(self, c0: int, c1: int, stride: int, out=None) -> np.ndarray:
         """CDP rows n = c + m*stride for c in [c0, c1) and m in [0, N/stride).
 
-        Returned shaped (c1 - c0, N // stride, Np). stride = N gives the
-        consecutive rows c0..c1; stride = M2 gives stage-1 column strips.
-        stride is a multiple of Np, so every row of column c starts on
-        residue c % Np, and every input is a view.
+        Returned shaped (c1 - c0, N // stride, Np), in out if given.
+        stride = N gives the consecutive rows c0..c1; stride = M2 gives
+        stage-1 column strips. stride is a multiple of Np, so every row of
+        column c starts on residue c % Np, and every input is a view.
         """
         n, np_ch = self.cfg.N, self.cfg.Np
         per_col = n // stride
         windows = self.windows.reshape(per_col, stride, np_ch)[:, c0:c1].transpose(1, 0, 2)
-        out = channelize(windows, self.window, np.arange(c0, c1))
+        out = channelize(windows, self.window, np.arange(c0, c1), out)
         out *= self.scale.reshape(per_col, stride)[:, c0:c1].T[:, :, None]
         return out
 
@@ -154,16 +153,16 @@ def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.nda
             f"mem_cap_values={cfg.mem_cap_values} complex values"
         )
     kernel = _CdpKernel(prepare_input(x, cfg.N, cfg.precision, normalize_input), cfg)
-    out = np.empty((cfg.N, cfg.Np), dtype=complex_dtype(cfg.precision))
-    block = max(1, _CDP_BLOCK_ELEMS // cfg.Np)
-    for r0, r1 in block_ranges(cfg.N, block):
-        out[r0:r1] = kernel.rows(r0, r1, cfg.N)[:, 0]
+    # channel-major (Np, N) in padded rows: the channelizer's FFT writes each block there
+    out = np.empty((cfg.Np, cfg.N + _PAD), dtype=complex_dtype(cfg.precision))[:, :cfg.N]
+    for r0, r1 in block_ranges(cfg.N, max(1, _CDP_BLOCK_ELEMS // cfg.Np)):
+        kernel.rows(r0, r1, cfg.N, out[:, r0:r1].T[:, None])
     return out
 
 
 def cdp(x: np.ndarray, cfg: SscaConfig) -> np.ndarray:
-    """Full N x Np channelizer data product (memory permitting)."""
-    return _cdp_matrix(x, cfg, normalize_input=False)
+    """Full N x Np channelizer data product (memory permitting), a transposed view."""
+    return _cdp_matrix(x, cfg, normalize_input=False).T
 
 
 def _estimate_from_values(values: np.ndarray, cfg: SscaConfig, backend: str) -> ScdEstimate:
@@ -195,26 +194,26 @@ def ssca_direct(
     """Direct back end: one N-point FFT per channel of the CDP.
 
     Shifted bin q in [-N/2, N/2) of channel k maps to alpha = f_k + q/N and
-    f = (f_k - q/N)/2. Requires the full CDP in memory; raises
-    CapacityError past mem_cap_values.
+    f = (f_k - q/N)/2. Requires the full CDP in memory, raises CapacityError
+    past mem_cap_values, and transforms max(1, threads) blocks of it in place.
     """
     if cfg.mode != "direct_1d":
         raise ConfigurationError("ssca_direct requires cfg.mode == 'direct_1d'")
     cdp_mat = _cdp_matrix(x, cfg, normalize_input)
     plan = get_plan(cfg.N)
     values = np.empty((cfg.Np, cfg.N), dtype=real_dtype(cfg.precision))
-    cols_per_task = max(1, _DIRECT_COL_ELEMS // cfg.N)
     h = cfg.N // 2
 
     def worker(bounds):
         k0, k1 = bounds
-        cols = np.ascontiguousarray(cdp_mat[:, k0:k1].T)
-        spec = plan.execute(cols, axis=1)
+        block = cdp_mat[k0:k1]
+        plan.forward(block, axis=1, out=block)
+        block *= cfg.N  # an exact power of two: the unscaled FFT bit for bit
         # the fft shift by N/2 swaps the two halves of each channel
-        np.abs(spec[:, h:], out=values[k0:k1, :h])
-        np.abs(spec[:, :h], out=values[k0:k1, h:])
+        np.abs(block[:, h:], out=values[k0:k1, :h])
+        np.abs(block[:, :h], out=values[k0:k1, h:])
 
-    run_partitioned(block_ranges(cfg.Np, cols_per_task), worker, threads)
+    run_partitioned(block_ranges(cfg.Np, -(-cfg.Np // max(1, threads))), worker, threads)
     return _estimate_from_values(values, cfg, "ssca_direct")
 
 

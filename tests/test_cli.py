@@ -6,8 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import scdkit as sk
+from scdkit import cli
 from scdkit import io as scdio
 from scdkit.cli import main
 from scdkit.signal import _SNR_DB_MIN
@@ -588,6 +591,82 @@ def test_malformed_iq_csv_is_a_data_error(tmp_path, capsys, bad_row):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe\x80\x81" * 4, b"1,2\n3,4\n\xff\xfe,1\n"],
+                         ids=["first-line", "later-line"])
+def test_iq_csv_that_is_not_text_is_a_data_error(tmp_path, capsys, blob):
+    # bytes that are not UTF-8 used to end in UnicodeDecodeError with a
+    # traceback, exit 1, from the header check's readline
+    csv = tmp_path / "x.csv"
+    csv.write_bytes(blob)
+    out = tmp_path / "o.scd1"
+    rc = main(["fam", "-i", str(csv), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+_IQ_BYTES = np.arange(6, dtype="<c8").tobytes()
+_CSV_BYTES = b"i,q\n0.1,0.2\n0.3,-0.4\n1e3,5\n"
+_SCD1_BYTES = scdio._SCD1_HEADER.pack(scdio.SCD1_MAGIC, scdio.SCD1_VERSION, 2, 3,
+                                      -1.0, 1.0, -0.5, 0.5, 0) + np.ones(6, "<f4").tobytes()
+
+
+@st.composite
+def _reader_bytes(draw):
+    kind = draw(st.sampled_from(["random", "truncated", "junk row"]))
+    if kind == "random":
+        return draw(st.binary(max_size=96))
+    if kind == "truncated":
+        blob = draw(st.sampled_from([_IQ_BYTES, _CSV_BYTES, _SCD1_BYTES]))
+        return blob[:draw(st.integers(0, len(blob)))]
+    lines = _CSV_BYTES.split(b"\n")
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.binary(min_size=1, max_size=12)))
+    return b"\n".join(lines)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # loadtxt's "input contained no data"
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_reader_bytes())
+@example(b"\xff\xfe\x80\x81").via("not UTF-8 on the first line")
+@example(b"1,2\n3,4\n\xff\xfe,1\n").via("not UTF-8 on a later line")
+def test_readers_return_an_array_or_raise_data_error(tmp_path, blob):
+    # whatever the bytes, each reader returns an array or raises DataError,
+    # which the CLI turns into exit 3; any other exception is a traceback
+    path = tmp_path / "blob.bin"
+    path.write_bytes(blob)
+    for read in (scdio.read_iq, scdio.read_iq_csv, lambda p: scdio.read_scd1(p)[0]):
+        try:
+            got = read(path)
+        except sk.DataError:
+            continue
+        assert isinstance(got, np.ndarray)
+
+
+@pytest.mark.parametrize("command,target", [
+    (["gen", "--n", "1024", "-o", "{out}"], "generate_dsss_bpsk"),
+    (["bench", "fam", "--n", "512", "--np", "64", "--repeat", "1"], "generate_dsss_bpsk"),
+    (["fam", "-i", "{iq}", "--n", "512", "--np", "64", "-o", "{out}"], "fam_full"),
+], ids=["gen", "bench-fam", "fam"])
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, command, target):
+    # numpy's _ArrayMemoryError (a MemoryError) used to end in a traceback,
+    # exit 1; it is raised here by a stand-in, never by a real allocation
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", "512", "--seed", "2", "-o", str(iq)]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    assert main([arg.format(iq=iq, out=tmp_path / "o.out") for arg in command]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory") and captured.err.count("\n") == 1
+    assert "wrote" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.iq"]
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf"])

@@ -206,6 +206,23 @@ def test_channelize_is_the_rolled_sign_folded_fft():
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_channelize_into_a_transposed_out_matches_a_fresh_array(dtype):
+    # the SSCA's direct back end passes its channel-major CDP transposed, in
+    # rows padded off a power of two: the values are those of the fresh array
+    rng = np.random.default_rng(8)
+    np_ch, count = 16, 40
+    frames = (rng.standard_normal((count, np_ch)) + 1j * rng.standard_normal((count, np_ch)))
+    frames = frames.astype(dtype)
+    window = rng.standard_normal(np_ch).astype(frames.real.dtype)
+    residues = np.arange(count) + 3
+    dest = np.zeros((np_ch, count + 5), dtype=dtype)
+    got = channelize(frames, window, residues, out=dest[:, 1:count + 1].T)
+    assert np.shares_memory(got, dest) and got.shape == frames.shape
+    assert np.array_equal(dest[:, 1:count + 1].T, channelize(frames, window, residues))
+    assert not dest[:, 0].any() and not dest[:, count + 1:].any()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_channelize_centres_and_down_converts(dtype):
     # each frame is a unit tone at channel c: it lands in column c + Np/2 as
     # Np times the down-conversion phase exp(-i 2 pi r c / Np) of its residue r

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -443,6 +444,51 @@ def test_ssca_threads_bit_identical():
     a = sk.ssca_direct(x, _cfg(), threads=1)
     b = sk.ssca_direct(x, _cfg(), threads=4)
     assert value_hash(a.values) == value_hash(b.values)
+
+
+@pytest.mark.parametrize("np_ch", [32, 64])
+def test_ssca_direct_thread_split_is_bit_identical(np_ch):
+    # the channels split into max(1, threads) contiguous blocks: 3 does not
+    # divide 32, 8 gives blocks of 4 or 8, and threads=0 runs serially
+    x = _dsss(4096, seed=21)
+    cfg = _cfg(Np=np_ch, M1=32, M2=128)
+    hashes = {t: value_hash(sk.ssca_direct(x, cfg, threads=t).values) for t in (0, 1, 2, 3, 8)}
+    assert len(set(hashes.values())) == 1, hashes
+
+
+@pytest.mark.parametrize("n,np_ch,precision", [(4096, 32, "f64"), (16384, 64, "f32")])
+def test_ssca_direct_peak_is_cdp_values_and_one_row_block(n, np_ch, precision):
+    # the channel-major CDP is transformed where it lies: no column copy and
+    # no second spectrum array beside it
+    cfg = _cfg(N=n, Np=np_ch, M1=None, M2=None, precision=precision)
+    x = _dsss(n, seed=4)
+    sk.ssca_direct(x, cfg)  # plans and windows built outside the measurement
+    tracemalloc.start()
+    try:
+        sk.ssca_direct(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    complex_bytes = np.dtype(complex_dtype(precision)).itemsize
+    cdp_bytes = n * np_ch * complex_bytes
+    values_bytes = n * np_ch * np.dtype(real_dtype(precision)).itemsize
+    row_block_bytes = min(n, ssca._CDP_BLOCK_ELEMS // np_ch) * np_ch * complex_bytes
+    assert peak <= cdp_bytes + values_bytes + row_block_bytes + (1 << 20), peak
+
+
+@pytest.mark.parametrize("precision,digest", [
+    ("f32", "cb4df4ba91db807b913adad55a02ce2c49df10f90f58b7f56ccc9b24f1215cfd"),
+    ("f64", "03f977b1d4818e02b1fccc046180e5550942dcd785606029ee45808ed21f1469"),
+])
+def test_cdp_is_a_transposed_view_of_unchanged_values(precision, digest):
+    # digests pinned when cdp() built its rows row-major; small integer
+    # samples and a rectangular window keep every step exact but the FFT
+    rng = np.random.default_rng(31)
+    x = rng.integers(-8, 9, 4096) + 1j * rng.integers(-8, 9, 4096)
+    out = sk.cdp(x, _cfg(precision=precision, a_window=sk.WindowSpec("rectangular", 32)))
+    # a transposed view: each channel's values lie contiguous
+    assert out.shape == (4096, 32) and out.strides[0] == out.itemsize
+    assert value_hash(np.ascontiguousarray(out)) == digest
 
 
 def test_ssca_full_dispatch():
