@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -60,12 +61,17 @@ def read_iq_csv(path) -> np.ndarray:
     except ValueError:
         skip = 1
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():  # no rows is checked below, in one line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:  # a cell that is not a number, a short row, or bytes not text
         raise DataError(f"{path}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise DataError(f"{path}: holds no samples")
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns, found {data.shape[1]}")
-    return data[:, 0] + 1j * data[:, 1]
+    # the (I, Q) rows as complex128, bit for bit: 1j * Q would turn an inf Q into a NaN I
+    return np.ascontiguousarray(data).view(np.complex128)[:, 0]
 
 
 def write_scd1(
@@ -138,30 +144,36 @@ def write_pgm(path, grid: np.ndarray, log_scale: bool = False) -> None:
     """Render a grid as an 8-bit binary PGM heatmap.
 
     Rows are written top-down from the highest alpha. log_scale compresses
-    six decades below the peak into the gray ramp.
+    six decades below the peak into the gray ramp. The image is rendered a
+    block of rows at a time, from the bottom of the grid up, so the scratch
+    stays small at any grid size; the caller's grid is never written.
     """
-    # one fresh float64 image, transformed in place; the caller's grid is never written
-    img = np.array(grid, dtype=np.float64)
-    if img.ndim != 2:
-        raise DataError(f"grid must be 2-D, got shape {img.shape}")
-    peak = img.max()
-    if peak <= 0.0:
-        img.fill(0.0)
-    elif log_scale:
-        floor = peak * 1e-6
-        np.maximum(img, floor, out=img)
-        np.log10(img, out=img)
-        img -= np.log10(floor)
-        img /= 6.0
-    else:
-        img /= peak
-    img *= 255.0
-    np.rint(img, out=img)
-    np.clip(img, 0, 255, out=img)
-    pixels = img[::-1, :].astype(np.uint8, order="C")  # top row = highest alpha
+    grid = np.asarray(grid)
+    if grid.ndim != 2:
+        raise DataError(f"grid must be 2-D, got shape {grid.shape}")
+    rows, cols = grid.shape
+    peak = float(grid.max())  # a Python float: the arithmetic below stays float64
+    row_block = max(1, _SCD1_BLOCK_VALUES // max(1, cols))
+    img = np.empty((min(rows, row_block), cols), dtype=np.float64)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode())
-        fh.write(pixels)
+        fh.write(f"P5\n{cols} {rows}\n255\n".encode())
+        for r0, r1 in reversed(list(block_ranges(rows, row_block))):
+            block = img[:r1 - r0]
+            np.copyto(block, grid[r0:r1][::-1])  # top row = highest alpha
+            if peak <= 0.0:
+                block.fill(0.0)
+            elif log_scale:
+                floor = peak * 1e-6
+                np.maximum(block, floor, out=block)
+                np.log10(block, out=block)
+                block -= np.log10(floor)
+                block /= 6.0
+            else:
+                block /= peak
+            block *= 255.0
+            np.rint(block, out=block)
+            np.clip(block, 0, 255, out=block)
+            fh.write(block.astype(np.uint8))
 
 
 def write_profile_csv(path, profile) -> None:

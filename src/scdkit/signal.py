@@ -154,6 +154,9 @@ def generate_dsss_bpsk(cfg: DsssBpskConfig) -> np.ndarray:
 def normalize(x: np.ndarray) -> np.ndarray:
     """Scale a series so its peak modulus is 1; all-zero input passes through.
 
+    Any finite input works, down to a subnormal peak and up to a modulus
+    past the float range.
+
     Inputs whose peak modulus is already within a few ulps of 1 are returned
     unchanged, which makes repeated normalization an exact fixed point
     (re-dividing by a peak of 1 +/- 1 ulp would otherwise dither the low bits
@@ -165,9 +168,15 @@ def normalize(x: np.ndarray) -> np.ndarray:
     m = float(np.abs(x).max())
     if m == 0.0:
         return x.copy()
-    eps = np.finfo(np.float32 if x.dtype in (np.complex64, np.float32) else np.float64).eps
-    if abs(m - 1.0) <= 4.0 * eps:
+    info = np.finfo(np.float32 if x.dtype in (np.complex64, np.float32) else np.float64)
+    if abs(m - 1.0) <= 4.0 * info.eps:
         return x.copy()
+    if not info.tiny <= m <= info.max:
+        # numpy's complex x / m multiplies by 1/m, which overflows for a
+        # subnormal peak, and a modulus past the range reads as inf: an exact
+        # power-of-two rescale first brings the peak into the normal range
+        x = x * (2.0 ** 64 if m < info.tiny else 2.0 ** -64)
+        m = float(np.abs(x).max())
     return x / m
 
 
@@ -176,7 +185,8 @@ def prepare_input(x: np.ndarray, n: int, precision: str, normalize_input: bool) 
     x = np.asarray(x)
     if x.shape != (n,):
         raise DimensionError(f"input length {x.shape} does not match N={n}")
-    x = x.astype(complex_dtype(precision), copy=False)
+    with np.errstate(over="ignore"):  # a sample past the precision's range: reported below
+        x = x.astype(complex_dtype(precision), copy=False)
     require_finite(x)
     return normalize(x) if normalize_input else x
 

@@ -12,7 +12,8 @@ channel-major, so the store is a plain array written by slice copies, or a
 spill file past the in-memory cap, written with one os.pwrite per channel
 per group and read with one os.preadv per channel (POSIX), never mapped, so
 the cap bounds resident memory. Both stores produce bit-identical
-magnitudes.
+magnitudes. The CDP kernel, which holds the padded input and the N-long
+scale, lives only through stage 1; stage 2 reads nothing but the store.
 
 The CDP rows and both stages of the decomposed back end run their FFTs
 forward-scaled (FftPlan.forward, X / size), and each size rides in a factor
@@ -146,7 +147,13 @@ class _CdpKernel:
         return out
 
 
-def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.ndarray:
+def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool,
+                threads: int = 1) -> np.ndarray:
+    """The channel-major (Np, N) CDP in padded rows.
+
+    Its row blocks are independent and write disjoint columns, so they run
+    on max(1, threads) threads; the scratch is one row block per thread.
+    """
     if cfg.N * cfg.Np > cfg.mem_cap_values:
         raise CapacityError(
             f"the full {cfg.N} x {cfg.Np} CDP does not fit in "
@@ -155,8 +162,12 @@ def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool) -> np.nda
     kernel = _CdpKernel(prepare_input(x, cfg.N, cfg.precision, normalize_input), cfg)
     # channel-major (Np, N) in padded rows: the channelizer's FFT writes each block there
     out = np.empty((cfg.Np, cfg.N + _PAD), dtype=complex_dtype(cfg.precision))[:, :cfg.N]
-    for r0, r1 in block_ranges(cfg.N, max(1, _CDP_BLOCK_ELEMS // cfg.Np)):
+
+    def worker(bounds):
+        r0, r1 = bounds
         kernel.rows(r0, r1, cfg.N, out[:, r0:r1].T[:, None])
+
+    run_partitioned(block_ranges(cfg.N, max(1, _CDP_BLOCK_ELEMS // cfg.Np)), worker, threads)
     return out
 
 
@@ -195,11 +206,12 @@ def ssca_direct(
 
     Shifted bin q in [-N/2, N/2) of channel k maps to alpha = f_k + q/N and
     f = (f_k - q/N)/2. Requires the full CDP in memory, raises CapacityError
-    past mem_cap_values, and transforms max(1, threads) blocks of it in place.
+    past mem_cap_values, builds the CDP's row blocks on max(1, threads)
+    threads, and transforms max(1, threads) blocks of it in place.
     """
     if cfg.mode != "direct_1d":
         raise ConfigurationError("ssca_direct requires cfg.mode == 'direct_1d'")
-    cdp_mat = _cdp_matrix(x, cfg, normalize_input)
+    cdp_mat = _cdp_matrix(x, cfg, normalize_input, threads)
     plan = get_plan(cfg.N)
     values = np.empty((cfg.Np, cfg.N), dtype=real_dtype(cfg.precision))
     h = cfg.N // 2
@@ -273,10 +285,10 @@ class _FileStore:
             )
 
 
-def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
+def _stage1(kernel: _CdpKernel, cfg: SscaConfig, store) -> None:
     m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
     cdt = complex_dtype(cfg.precision)
-    plan1, plan2 = get_plan(m1), get_plan(m2)
+    plan1 = get_plan(m1)
     # Both stage FFTs run forward-scaled and the rotation table carries
     # N = M1*M2 for both: stage 1 stores M2 times the unscaled values, and
     # the forward-scaled M2-point FFT of M2*s is exactly the FFT of s.
@@ -296,8 +308,11 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
             rot *= n
             np.multiply(s1.transpose(2, 0, 1), rot.T, out=stage[:, c0 - g0:c1 - g0])
         store.write(g0, g1, stage[:, :g1 - g0])
-    del stage, s1  # stage 1's buffers go before the values are allocated
 
+
+def _stage2(cfg: SscaConfig, store) -> np.ndarray:
+    m1, m2, np_ch = cfg.M1, cfg.M2, cfg.Np
+    plan2 = get_plan(m2)
     # stage 2: one channel at a time, fetched into one reused (M2, M1)
     # buffer whose rows are padded off the power-of-two stride and
     # transformed in place
@@ -306,13 +321,13 @@ def _stream_stages(kernel: _CdpKernel, cfg: SscaConfig, store) -> np.ndarray:
     # after the fft shift by N/2 (M2 is even), so the shift swaps the two
     # M2 halves of each channel
     h = m2 // 2
-    buf = np.empty((m2, m1 + _PAD), dtype=cdt)[:, :m1]
+    buf = np.empty((m2, m1 + _PAD), dtype=complex_dtype(cfg.precision))[:, :m1]
     for k in range(np_ch):
         store.read(k, buf)
         plan2.forward(buf, axis=0, out=buf)
         np.abs(buf[:h], out=values[k, h:])
         np.abs(buf[h:], out=values[k, :h])
-    return values.reshape(np_ch, n)
+    return values.reshape(np_ch, cfg.N)
 
 
 @contextlib.contextmanager
@@ -353,28 +368,28 @@ def ssca_2dfft(
     stage-2 M2-point FFTs, and the bin map g = M1*m2' + m1' - N/2.
 
     CDP rows are generated one stage-1 column strip at a time, so the full
-    N x Np product never exists at once. The Np x M2 x M1 stage-1 output is
-    an array when N*Np fits under mem_cap_values and a spill file past it,
-    written with os.pwrite in one run per channel per group of columns and
-    read back with os.preadv; both run the same
-    code and give bit-identical values. meta records the store taken
-    ("stage1_store": "array" or "file") and the bytes spilled.
+    N x Np product never exists at once, and the CDP kernel (the padded
+    input and the N-long scale) lives only through stage 1. The
+    Np x M2 x M1 stage-1 output is an array when N*Np fits under
+    mem_cap_values and a spill file past it, written with os.pwrite in one
+    run per channel per group of columns and read back with os.preadv; both
+    run the same code and give bit-identical values. meta records the store
+    taken ("stage1_store": "array" or "file") and the bytes spilled.
     """
     if cfg.mode != "decomposed_2d":
         raise ConfigurationError("ssca_2dfft requires cfg.mode == 'decomposed_2d'")
     kernel = _CdpKernel(prepare_input(x, cfg.N, cfg.precision, normalize_input), cfg)
     shape = (cfg.Np, cfg.M2, cfg.M1)
     cdt = complex_dtype(cfg.precision)
-    if cfg.N * cfg.Np <= cfg.mem_cap_values:
-        store = _ArrayStore(shape, cdt)
-        values = _stream_stages(kernel, cfg, store)
-        spill_bytes = 0
-    else:
-        with _spill_file(cfg, shape, cdt) as store:
-            values = _stream_stages(kernel, cfg, store)
-        spill_bytes = cfg.N * cfg.Np * np.dtype(cdt).itemsize
+    spilled = cfg.N * cfg.Np > cfg.mem_cap_values
+    with (_spill_file(cfg, shape, cdt) if spilled
+          else contextlib.nullcontext(_ArrayStore(shape, cdt))) as store:
+        _stage1(kernel, cfg, store)
+        del kernel  # stage 2 reads only the store: the kernel goes before the values exist
+        values = _stage2(cfg, store)
     est = _estimate_from_values(values, cfg, "ssca_2dfft")
-    est.meta.update(stage1_store=store.kind, spill_bytes=spill_bytes)
+    est.meta.update(stage1_store=store.kind,
+                    spill_bytes=cfg.N * cfg.Np * np.dtype(cdt).itemsize if spilled else 0)
     return est
 
 

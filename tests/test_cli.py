@@ -1,7 +1,9 @@
 import errno
 import os
 import shutil
+import tempfile
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -328,6 +330,63 @@ def test_write_pgm_bytes_match_the_formula(tmp_path, kind, log_scale):
     assert np.array_equal(grid, before)  # the caller's grid is never written
 
 
+def _pgm_block_bytes(cols):
+    # one block of rows as float64 and as uint8
+    return max(cols, scdio._SCD1_BLOCK_VALUES) * (8 + 1)
+
+
+@pytest.mark.parametrize("log_scale", [False, True])
+@pytest.mark.parametrize("kind", ["f64", "f32", "zero"])
+@pytest.mark.parametrize("shape", [(1023, 511), (3, (1 << 16) + 3), (1, 1)])
+def test_write_pgm_renders_in_row_blocks(tmp_path, shape, kind, log_scale):
+    # block ends off a SIMD-width multiple, rows longer than a block, and one
+    # cell: the bytes match the formula, and the render holds one block
+    base = np.random.default_rng(11).random(shape) ** 8 * 1e4
+    grid = {"f64": base, "f32": base.astype(np.float32), "zero": np.zeros(shape)}[kind]
+    before = grid.copy()
+    path = tmp_path / "g.pgm"
+    tracemalloc.start()
+    try:
+        scdio.write_pgm(path, grid, log_scale=log_scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _old_pgm_bytes(before, log_scale)
+    assert np.array_equal(grid, before)
+    assert peak <= _pgm_block_bytes(shape[1]) + (64 << 10), peak
+
+
+@pytest.mark.parametrize("shape", [(1024, 512), (4096, 2048)])
+def test_write_pgm_scratch_does_not_grow_with_the_grid(tmp_path, shape):
+    grid = np.random.default_rng(12).random(shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        scdio.write_pgm(tmp_path / "g.pgm", grid, log_scale=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _pgm_block_bytes(shape[1]) + (64 << 10), peak
+
+
+def test_fam_op_peak_is_values_grid_and_a_fixed_slack(tmp_path):
+    # the file-to-file op at the reference point: only the values and the
+    # grid are full size; the slack covers the estimate's axis bases (1 MiB
+    # at Np = 256), the profile and one writer block
+    x = sk.generate_dsss_bpsk(sk.DsssBpskConfig(n_samples=2048, seed=4))
+    cfg = sk.FamConfig(N=2048, Np=256)
+    tracemalloc.start()
+    try:
+        est = sk.fam_full(x, cfg)
+        grid = sk.fam_to_grid(est, 512, 1024)
+        scdio.write_scd1(tmp_path / "o.scd1", grid, sk.ALPHA_RANGE, sk.F_RANGE)
+        scdio.write_profile_csv(tmp_path / "p.csv", sk.alpha_profile(est, 2 * cfg.N + 1))
+        scdio.write_pgm(tmp_path / "h.pgm", grid, log_scale=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= est.values.nbytes + grid.nbytes + (3 << 20), peak
+
+
 def test_read_iq_keeps_every_sample_bit_for_bit(tmp_path):
     # signed zeros, infinities and NaN payloads (quiet and signalling) as raw words
     words = np.array([0x80000000, 0x00000000, 0x40400000, 0xFF800000, 0x7F800000,
@@ -342,6 +401,19 @@ def test_read_iq_keeps_every_sample_bit_for_bit(tmp_path):
     again = tmp_path / "again.iq"
     scdio.write_iq(again, x)
     assert again.read_bytes() == iq.read_bytes()
+
+
+def test_read_iq_csv_keeps_every_sample_bit_for_bit(tmp_path):
+    # I + 1j * Q turned an infinite Q into a NaN I, with a RuntimeWarning on
+    # stderr, and a -0.0 I into +0.0
+    csv = tmp_path / "x.csv"
+    csv.write_text("i,q\n-0.0,1\n1,-0.0\ninf,2\n3,-inf\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = scdio.read_iq_csv(csv)
+    want = np.array([[-0.0, 1.0], [1.0, -0.0], [np.inf, 2.0], [3.0, -np.inf]])
+    assert x.dtype == np.complex128 and x.shape == (4,)
+    assert np.array_equal(x.view(np.float64).reshape(4, 2).view(np.uint64), want.view(np.uint64))
 
 
 def _old_write_iq(path, x):
@@ -593,6 +665,35 @@ def test_malformed_iq_csv_is_a_data_error(tmp_path, capsys, bad_row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "i,q\n", "i,q\n\n\n"],
+                         ids=["empty", "header-only", "header-and-blank-lines"])
+def test_iq_csv_without_samples_is_one_error_line(tmp_path, capsys, text):
+    # these used to print numpy's two-line "input contained no data" warning
+    # and then "expected two columns, found 1"
+    csv = tmp_path / "x.csv"
+    csv.write_text(text)
+    out = tmp_path / "o.scd1"
+    rc = main(["fam", "-i", str(csv), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {csv}: holds no samples\n"
+    assert not out.exists()
+
+
+def test_csv_sample_past_float32_is_one_error_line(tmp_path, capsys):
+    # the cast to f32 used to print numpy's "overflow encountered in cast"
+    # warning before the error line
+    csv = tmp_path / "x.csv"
+    csv.write_text("i,q\n" + "1e39,0.5\n" * 512)
+    out = tmp_path / "o.scd1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fam", "-i", str(csv), "--n", "512", "--np", "64", "-o", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: input holds 512 non-finite samples")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blob", [b"\xff\xfe\x80\x81" * 4, b"1,2\n3,4\n\xff\xfe,1\n"],
                          ids=["first-line", "later-line"])
 def test_iq_csv_that_is_not_text_is_a_data_error(tmp_path, capsys, blob):
@@ -644,6 +745,92 @@ def test_readers_return_an_array_or_raise_data_error(tmp_path, blob):
         except sk.DataError:
             continue
         assert isinstance(got, np.ndarray)
+
+
+_BAD_FLAG_VALUES = ["0", "-1", "nan", "inf", "-inf", str(10 ** 30), str(1 << 62), "abc", ""]
+_FAM_FLAGS = {
+    "--n": st.sampled_from([16, 64, 256, 512, 2048]),
+    "--np": st.sampled_from([8, 16, 64, 256]),
+    "--f-bins": st.integers(1, 70),
+    "--alpha-bins": st.integers(1, 70),
+    "--atten-db": st.floats(0.01, 400.0),
+    "--precision": st.sampled_from(["f32", "f64"]),
+}
+_INPUT_KINDS = ["valid", "truncated", "odd length", "nan payload", "random", "csv junk rows"]
+
+
+@st.composite
+def _fam_flags_and_input(draw):
+    # up to two flags take a boundary value; the input's length follows --n
+    bad = draw(st.sets(st.sampled_from(sorted(_FAM_FLAGS)), max_size=2))
+    flags = {name: draw(st.sampled_from(_BAD_FLAG_VALUES) if name in bad else valid.map(str))
+             for name, valid in _FAM_FLAGS.items()}
+    flags["--threads"] = str(draw(st.integers(1, 8)))
+    flags["--a-window"] = draw(st.sampled_from(["chebyshev", "rectangular", "hamming"]))
+    n = flags["--n"]
+    length = int(n) if n.isdigit() and 1 <= int(n) <= 2048 else 512
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    # a peak modulus near 1, past the float32 range, or subnormal
+    x = (x / np.abs(x).max() * draw(st.sampled_from([1.0, 3e38, 1e-40, 1e-45])))
+    iq = x.astype(np.complex64).tobytes()
+    kind = draw(st.sampled_from(_INPUT_KINDS))
+    if kind == "valid":
+        return flags, ".iq", iq
+    if kind == "truncated":
+        return flags, ".iq", iq[:draw(st.integers(0, len(iq)))]
+    if kind == "odd length":
+        return flags, ".iq", iq + bytes(draw(st.integers(1, 7)))
+    if kind == "nan payload":
+        parts = np.frombuffer(iq, dtype=np.float32).copy()
+        parts[draw(st.integers(0, parts.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+        return flags, ".iq", parts.tobytes()
+    if kind == "random":
+        return flags, draw(st.sampled_from([".iq", ".csv"])), draw(st.binary(max_size=16 * length))
+    lines = ["i,q"] + [f"{v.real!r},{v.imag!r}" for v in x.tolist()]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=10)))
+    return flags, ".csv", "\n".join(lines).encode()
+
+
+_SUBNORMAL_RUN = ({"--n": "512", "--np": "64", "--f-bins": "8", "--alpha-bins": "8",
+                   "--atten-db": "100", "--precision": "f32", "--threads": "1",
+                   "--a-window": "chebyshev"},
+                  ".iq", (np.arange(1024, dtype=np.float32) * np.float32(1e-44)).tobytes())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fam_flags_and_input(), st.booleans())
+@example(_SUBNORMAL_RUN, False).via("a subnormal peak: its reciprocal overflows")
+def test_fam_cli_exits_cleanly_on_any_flags_and_input(tmp_path, run, pgm_log):
+    # exit 0 leaves finite outputs, any other exit is 2, 3 or 4 and leaves
+    # none; exit 1 would be a traceback
+    flags, suffix, blob = run
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        inp = os.path.join(work, "in" + suffix)
+        with open(inp, "wb") as fh:
+            fh.write(blob)
+        scd1, csv, pgm = (os.path.join(work, name) for name in ("o.scd1", "p.csv", "h.pgm"))
+        argv = (["fam", "-i", inp, "-o", scd1, "--profile-csv", csv, "--pgm", pgm]
+                + ["--pgm-log"] * pgm_log + [f"{name}={value}" for name, value in flags.items()])
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+        assert rc in (0, 2, 3, 4), rc
+        outputs = sorted(set(os.listdir(work)) - {"in" + suffix})
+        if rc != 0:
+            assert outputs == []
+            return
+        assert outputs == ["h.pgm", "o.scd1", "p.csv"]
+        grid = np.fromfile(scd1, dtype=np.uint8)[scdio._SCD1_HEADER.size:].view(
+            {"f32": "<f4", "f64": "<f8"}[flags["--precision"]])
+        profile = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(grid).all() and np.isfinite(profile).all()
+        rows, cols = flags["--alpha-bins"], flags["--f-bins"]
+        with open(pgm, "rb") as fh:
+            assert fh.read().startswith(f"P5\n{cols} {rows}\n255\n".encode())
 
 
 @pytest.mark.parametrize("command,target", [

@@ -77,6 +77,22 @@ def test_normalize_peak_is_one_to_machine_precision():
     assert abs(np.abs(y).max() - 1.0) <= 4 * np.finfo(np.float64).eps
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("peak", ["subnormal", "past the range"])
+def test_normalize_brings_any_finite_peak_to_one(dtype, peak):
+    # a subnormal peak used to give inf + inf j (numpy's x / m multiplies by
+    # an overflowing 1/m), and a modulus past the range all zeros
+    info = np.finfo(dtype)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    x /= np.abs(x).max()
+    x[0] = 0.8 + 0.8j  # finite parts, a modulus of 1.13 times the scale
+    x = (x * (info.tiny / 64 if peak == "subnormal" else info.max)).astype(dtype)
+    y = sk.normalize(x)
+    assert y.dtype == dtype and np.isfinite(y).all()
+    assert abs(np.abs(y).max() - 1.0) <= 64 * info.eps
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 200))
 def test_normalize_idempotent_exactly(seed, n):

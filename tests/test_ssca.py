@@ -476,6 +476,30 @@ def test_ssca_direct_peak_is_cdp_values_and_one_row_block(n, np_ch, precision):
     assert peak <= cdp_bytes + values_bytes + row_block_bytes + (1 << 20), peak
 
 
+@pytest.mark.parametrize("spilled", [False, True], ids=["array", "file"])
+def test_ssca_2dfft_drops_the_cdp_kernel_before_stage_2(tmp_path, spilled):
+    # the op peaks with the values, stage 2's one-channel buffer, the store
+    # and one N-long array (the estimate's float64 column offsets); the
+    # kernel's padded input and N-long scale (2N complex values) are gone
+    # by then. At N = 2^18 an N-long complex64 array is 2 MiB, so keeping
+    # the kernel through stage 2 passes the bound by about 3 MiB.
+    n, np_ch = 1 << 18, 32
+    cfg = sk.SscaConfig(N=n, Np=np_ch, mem_cap_values=1 if spilled else 1 << 24,
+                        spill_dir=str(tmp_path))
+    x = _dsss(n, seed=6)
+    tracemalloc.start()
+    try:
+        est = sk.ssca_2dfft(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.meta["stage1_store"] == ("file" if spilled else "array")
+    n_bytes = n * np.dtype(np.complex64).itemsize
+    buffer_bytes = cfg.M2 * (cfg.M1 + ssca._PAD) * np.dtype(np.complex64).itemsize
+    store_bytes = 0 if spilled else np_ch * n_bytes
+    assert peak <= est.values.nbytes + buffer_bytes + n_bytes + store_bytes + (1 << 20), peak
+
+
 @pytest.mark.parametrize("precision,digest", [
     ("f32", "cb4df4ba91db807b913adad55a02ce2c49df10f90f58b7f56ccc9b24f1215cfd"),
     ("f64", "03f977b1d4818e02b1fccc046180e5550942dcd785606029ee45808ed21f1469"),
