@@ -16,6 +16,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import block_ranges
 from .errors import CapacityError, ConfigurationError, DimensionError
@@ -262,7 +263,10 @@ def _scatter_pairs(col_offsets, axes, anti, grid, values, row0) -> None:
     rows of channel k read the table rows [R - 1 - k, 2R - 1 - k) along
     diagonals and [k, k + R) along anti-diagonals. When every axis is of
     one kind, the rows of a class share every cell, so the block is first
-    reduced to one maximum per class and column.
+    reduced to one maximum per class and column. Otherwise, as for FAM's
+    grid, the channels are scattered in blocks of _GRID_CHUNK // (R w) for
+    a column block of width w: one index sum, one float64 cast and one
+    np.maximum.at per block of channels.
     """
     r = math.isqrt(axes[0].base.size)
     channels = list(enumerate(range(row0 // r, (row0 + values.shape[0]) // r)))
@@ -285,12 +289,23 @@ def _scatter_pairs(col_offsets, axes, anti, grid, values, row0) -> None:
                 np.maximum(window, values[i * r:(i + 1) * r, c0:c1], out=window)
             np.maximum.at(grid, table.reshape(-1), peaks.reshape(-1).astype(np.float64))
         else:
-            index = np.empty((r, c1 - c0), dtype=np.int64)
-            vals = np.empty((r, c1 - c0))
-            for i, k in channels:
-                np.add(tables[False][r - 1 - k:2 * r - 1 - k], tables[True][k:k + r], out=index)
-                vals[...] = values[i * r:(i + 1) * r, c0:c1]
-                np.maximum.at(grid, index.reshape(-1), vals.reshape(-1))
+            # channel k's cells are diag[R - 1 - k] + skew[k], where diag[s] and
+            # skew[s] are rows [s, s + R) of the tables: a run of channels from
+            # k0 reads a descending and an ascending run of these views
+            diag, skew = (sliding_window_view(tables[kind], r, axis=0).transpose(0, 2, 1)
+                          for kind in (False, True))
+            w = c1 - c0
+            block = max(1, _GRID_CHUNK // (r * w))
+            index = np.empty((min(block, len(channels)), r, w), dtype=np.int64)
+            vals = np.empty(index.shape)
+            for b0, b1 in block_ranges(len(channels), block):
+                i0, k0 = channels[b0]
+                n = b1 - b0
+                stop = r - 1 - k0 - n
+                np.add(diag[r - 1 - k0:stop if stop >= 0 else None:-1], skew[k0:k0 + n],
+                       out=index[:n])
+                vals[:n] = values[i0 * r:(i0 + n) * r, c0:c1].reshape(n, r, w)
+                np.maximum.at(grid, index[:n].reshape(-1), vals[:n].reshape(-1))
 
 
 def _scatter_bins(col_offsets, axes, grid, values, row0) -> None:

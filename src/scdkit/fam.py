@@ -8,7 +8,9 @@ Np-point FFT that comes out centered and down-converted. The final stage
 forms the conjugate product of each channel pair, refines cycle frequency
 with a P-point FFT, and keeps the central half of the squared magnitudes;
 with a real g, half of the pairs are the conjugate mirror of the other half
-and are copied, not transformed.
+and are copied, not transformed. P, an exact power of two, rides in g, so
+the forward-scaled FFT runs in place on each block of products and equals
+the unscaled one bit for bit, and the squared magnitudes take one pass.
 """
 
 from __future__ import annotations
@@ -116,7 +118,10 @@ def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
     f = (f_k + f_l)/2, alpha = (f_k - f_l) + q/N.
 
     Pair (l, k) holds bin -q mod P of pair (k, l) (S^-alpha = conj(S^alpha)),
-    so each block of rows k0:k1 transforms only the pairs with l >= k0.
+    so each block of rows k0:k1 transforms only the pairs with l >= k0. The
+    block's products, with P folded into g, are transformed in place by the
+    forward-scaled FFT; |Z|^2 of all P bins is formed in one pass, and the
+    kept and the mirrored bins are both taken from it.
     """
     xt = np.asarray(xt)
     if xt.shape != (cfg.Np, cfg.P):
@@ -130,7 +135,9 @@ def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
     plan = get_plan(p)
 
     xt = xt.astype(cdt, copy=False)
-    g = window_array(cfg.g_window, p).astype(rdt)
+    # P is an exact power of two, so the forward-scaled FFT of z * P equals
+    # the unscaled FFT of z bit for bit: P rides in g
+    g = window_array(cfg.g_window, p).astype(rdt) * rdt(p)
     conj_g = np.conj(xt) * g[None, :]
 
     out = np.empty((np_, np_, p // 2), dtype=rdt)
@@ -140,25 +147,21 @@ def fam_scd(xt: np.ndarray, cfg: FamConfig, threads: int = 1) -> ScdEstimate:
         # are mirrored into out[k1:, k0:k1], a slice no other block writes
         k0, k1 = bounds
         z = xt[k0:k1, None, :] * conj_g[None, k0:, :]
-        zf = plan.execute(z, axis=2)
-        # square every component in one contiguous pass, then form re^2 + im^2
-        # only for the bins kept or mirrored: [0, P/4] and [3P/4, P)
-        parts = zf.view(rdt)
+        plan.forward(z, axis=2, out=z)
+        # square every component in one contiguous pass, then re^2 + im^2 in one
+        parts = z.view(rdt)
         np.square(parts, out=parts)
-        parts = parts.reshape(zf.shape + (2,))
-        re, im = parts[..., 0], parts[..., 1]
-        sq_lo = re[..., : q4 + 1] + im[..., : q4 + 1]
+        parts = parts.reshape(z.shape + (2,))
+        power = parts[..., 0] + parts[..., 1]
         kept = out[k0:k1, k0:]
-        kept[..., :q4] = sq_lo[..., :q4]
-        np.add(re[..., 3 * q4:], im[..., 3 * q4:], out=kept[..., q4:])
+        kept[..., :q4] = power[..., :q4]
+        kept[..., q4:] = power[..., 3 * q4:]
         # out[l, k, j] for l >= k1 takes bin -q mod P of pair (k, l), q = j or j - P/2
-        kb = k1 - k0
-        src_lo = sq_lo[:, kb:].transpose(1, 0, 2)
-        src_hi = kept[:, kb:, q4:].transpose(1, 0, 2)
+        src = power[:, k1 - k0:].transpose(1, 0, 2)
         mirror = out[k1:, k0:k1]
-        mirror[..., 0] = src_lo[..., 0]  # bin 0
-        mirror[..., 1:q4] = src_hi[..., q4 - 1:0:-1]  # bins P-1 .. 3P/4+1
-        mirror[..., q4:] = src_lo[..., q4:0:-1]  # bins P/4 .. 1
+        mirror[..., 0] = src[..., 0]  # bin 0
+        mirror[..., 1:q4] = src[..., p - 1:3 * q4:-1]  # bins P-1 .. 3P/4+1
+        mirror[..., q4:] = src[..., q4:0:-1]  # bins P/4 .. 1
 
     run_partitioned(block_ranges(np_, _PAIR_CHUNK), worker, threads)
 

@@ -9,6 +9,7 @@ flag) followed by the row-major payload, rows indexing alpha.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import warnings
 
@@ -65,13 +66,37 @@ def read_iq_csv(path) -> np.ndarray:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:  # a cell that is not a number, a short row, or bytes not text
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {_csv_error(path, skip, str(exc))}") from exc
     if data.shape[0] == 0:
         raise DataError(f"{path}: holds no samples")
     if data.shape[1] != 2:
         raise DataError(f"{path}: expected two columns, found {data.shape[1]}")
     # the (I, Q) rows as complex128, bit for bit: 1j * Q would turn an inf Q into a NaN I
     return np.ascontiguousarray(data).view(np.complex128)[:, 0]
+
+
+def _csv_error(path, skip: int, message: str) -> str:
+    """np.loadtxt's message with its data-row index turned into a 1-based file line.
+
+    loadtxt counts only the data rows after the skipped header, leaving out
+    lines that are empty once a '#' comment is cut: from 0 for a cell that
+    is not a number, from 1 for a row of another column count. The file is
+    scanned again for that row only here, on the error path.
+    """
+    # a bad cell ("at row r, column c") or a row of another width ("at row r")
+    found = re.search(r" at row (\d+)(?:, column (\d+))?", message)
+    if found is None:
+        return message
+    row = int(found[1]) - (found[2] is None)
+    where = "" if found[2] is None else f", column {found[2]}"
+    seen = 0
+    with open(path, "r", errors="replace") as fh:
+        for line, text in enumerate(fh, 1):
+            if line > skip and text.split("#", 1)[0].rstrip("\n"):
+                if seen == row:
+                    return f"line {line}{where}: {message[:found.start()]}"
+                seen += 1
+    return message
 
 
 def write_scd1(

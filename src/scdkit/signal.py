@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import complex_dtype, require_finite
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DataError, DimensionError
 
 WINDOW_KINDS = ("chebyshev", "rectangular", "hamming")
 
@@ -181,14 +181,29 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 def prepare_input(x: np.ndarray, n: int, precision: str, normalize_input: bool) -> np.ndarray:
-    """Estimator input: length checked, cast, required finite, optionally normalized."""
+    """Estimator input: length checked, cast, required finite, optionally normalized.
+
+    A finite sample that the cast to the precision makes infinite is
+    reported as past that precision's range, not as non-finite.
+    """
     x = np.asarray(x)
     if x.shape != (n,):
         raise DimensionError(f"input length {x.shape} does not match N={n}")
     with np.errstate(over="ignore"):  # a sample past the precision's range: reported below
-        x = x.astype(complex_dtype(precision), copy=False)
-    require_finite(x)
-    return normalize(x) if normalize_input else x
+        cast = x.astype(complex_dtype(precision), copy=False)
+    try:
+        require_finite(cast)
+    except DataError:
+        if cast is x:
+            raise
+        require_finite(x)  # NaN or infinite in the input itself
+        past = ~np.isfinite(cast)
+        info = np.finfo(cast.dtype)
+        raise DataError(
+            f"input holds {int(past.sum())} samples past the {info.dtype} range "
+            f"(+/-{info.max:.7g}) of precision {precision!r} "
+            f"(first at index {int(past.argmax())})") from None
+    return normalize(cast) if normalize_input else cast
 
 
 def sliding_frames(x: np.ndarray, length: int, lead: int, hop: int, count: int) -> np.ndarray:

@@ -682,7 +682,8 @@ def test_iq_csv_without_samples_is_one_error_line(tmp_path, capsys, text):
 
 def test_csv_sample_past_float32_is_one_error_line(tmp_path, capsys):
     # the cast to f32 used to print numpy's "overflow encountered in cast"
-    # warning before the error line
+    # warning before the error line, which then called the finite samples
+    # non-finite
     csv = tmp_path / "x.csv"
     csv.write_text("i,q\n" + "1e39,0.5\n" * 512)
     out = tmp_path / "o.scd1"
@@ -690,8 +691,45 @@ def test_csv_sample_past_float32_is_one_error_line(tmp_path, capsys):
         warnings.simplefilter("error")
         rc = main(["fam", "-i", str(csv), "--n", "512", "--np", "64", "-o", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: input holds 512 non-finite samples")
+    err = capsys.readouterr().err
+    assert err.startswith("error: input holds 512 samples past the float32 range")
+    assert "(first at index 0)" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("precision,rc", [("f32", 3), ("f64", 0)])
+def test_csv_sample_past_float32_is_named_only_in_f32(tmp_path, capsys, precision, rc):
+    # one finite sample past the float32 range: f32 names the range, the
+    # count and the index, and f64, which holds it, runs
+    csv = tmp_path / "x.csv"
+    csv.write_text("i,q\n" + "0.25,0.5\n" * 5 + "1e39,0.5\n" + "0.25,-0.5\n" * 10)
+    out = tmp_path / "o.scd1"
+    assert main(["fam", "-i", str(csv), "--n", "16", "--np", "8", f"--precision={precision}",
+                 "--f-bins", "8", "--alpha-bins", "8", "-o", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == ("error: input holds 1 samples past the float32 range "
+                       "(+/-3.402823e+38) of precision 'f32' (first at index 5)\n")
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("i,q\n\n\n  \n", "line 4, column 1: could not convert string '  '"),
+    ("0.1,0.2\n0.3,0.4\njunk,0.5\n0.6,0.7\n", "line 3, column 1: could not convert string 'junk'"),
+    ("i,q\n0.1,0.2\n\n# c\n0.3,0.4\n0.5\n", "line 6: the number of columns changed from 2 to 1"),
+], ids=["header-blanks-spaces", "no-header-junk", "short-row-after-comment"])
+def test_csv_parse_error_names_the_file_line(tmp_path, capsys, text, where):
+    # numpy's loadtxt counts data rows after the header and the blank and
+    # comment lines, from 0 or from 1; the error used to pass that count on
+    csv = tmp_path / "x.csv"
+    csv.write_text(text)
+    out = tmp_path / "o.scd1"
+    assert main(["fam", "-i", str(csv), "--n", "16", "--np", "8", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: {where}") and err.count("\n") == 1
+    assert "row" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("blob", [b"\xff\xfe\x80\x81" * 4, b"1,2\n3,4\n\xff\xfe,1\n"],
@@ -759,38 +797,51 @@ _FAM_FLAGS = {
 _INPUT_KINDS = ["valid", "truncated", "odd length", "nan payload", "random", "csv junk rows"]
 
 
-@st.composite
-def _fam_flags_and_input(draw):
-    # up to two flags take a boundary value; the input's length follows --n
-    bad = draw(st.sets(st.sampled_from(sorted(_FAM_FLAGS)), max_size=2))
-    flags = {name: draw(st.sampled_from(_BAD_FLAG_VALUES) if name in bad else valid.map(str))
-             for name, valid in _FAM_FLAGS.items()}
-    flags["--threads"] = str(draw(st.integers(1, 8)))
-    flags["--a-window"] = draw(st.sampled_from(["chebyshev", "rectangular", "hamming"]))
-    n = flags["--n"]
-    length = int(n) if n.isdigit() and 1 <= int(n) <= 2048 else 512
+def _draw_input(draw, length, kinds=_INPUT_KINDS):
+    """(suffix, bytes) of an input file of one of the kinds; a valid one holds length samples."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
     # a peak modulus near 1, past the float32 range, or subnormal
     x = (x / np.abs(x).max() * draw(st.sampled_from([1.0, 3e38, 1e-40, 1e-45])))
     iq = x.astype(np.complex64).tobytes()
-    kind = draw(st.sampled_from(_INPUT_KINDS))
+    kind = draw(st.sampled_from(kinds))
     if kind == "valid":
-        return flags, ".iq", iq
+        return ".iq", iq
     if kind == "truncated":
-        return flags, ".iq", iq[:draw(st.integers(0, len(iq)))]
+        return ".iq", iq[:draw(st.integers(0, len(iq)))]
     if kind == "odd length":
-        return flags, ".iq", iq + bytes(draw(st.integers(1, 7)))
+        return ".iq", iq + bytes(draw(st.integers(1, 7)))
     if kind == "nan payload":
         parts = np.frombuffer(iq, dtype=np.float32).copy()
         parts[draw(st.integers(0, parts.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
-        return flags, ".iq", parts.tobytes()
+        return ".iq", parts.tobytes()
     if kind == "random":
-        return flags, draw(st.sampled_from([".iq", ".csv"])), draw(st.binary(max_size=16 * length))
+        return draw(st.sampled_from([".iq", ".csv"])), draw(st.binary(max_size=16 * length))
     lines = ["i,q"] + [f"{v.real!r},{v.imag!r}" for v in x.tolist()]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=10)))
-    return flags, ".csv", "\n".join(lines).encode()
+    return ".csv", "\n".join(lines).encode()
+
+
+def _draw_flags(draw, valid_flags):
+    # up to two flags take a boundary value
+    bad = draw(st.sets(st.sampled_from(sorted(valid_flags)), max_size=2))
+    return {name: draw(st.sampled_from(_BAD_FLAG_VALUES) if name in bad else valid.map(str))
+            for name, valid in valid_flags.items()}
+
+
+def _input_length(flags, largest):
+    n = flags["--n"]
+    return int(n) if n.isdigit() and 1 <= int(n) <= largest else 512
+
+
+@st.composite
+def _fam_flags_and_input(draw):
+    # the input's length follows --n
+    flags = _draw_flags(draw, _FAM_FLAGS)
+    flags["--threads"] = str(draw(st.integers(1, 8)))
+    flags["--a-window"] = draw(st.sampled_from(["chebyshev", "rectangular", "hamming"]))
+    return (flags,) + _draw_input(draw, _input_length(flags, 2048))
 
 
 _SUBNORMAL_RUN = ({"--n": "512", "--np": "64", "--f-bins": "8", "--alpha-bins": "8",
@@ -804,22 +855,33 @@ _SUBNORMAL_RUN = ({"--n": "512", "--np": "64", "--f-bins": "8", "--alpha-bins": 
 @given(_fam_flags_and_input(), st.booleans())
 @example(_SUBNORMAL_RUN, False).via("a subnormal peak: its reciprocal overflows")
 def test_fam_cli_exits_cleanly_on_any_flags_and_input(tmp_path, run, pgm_log):
-    # exit 0 leaves finite outputs, any other exit is 2, 3 or 4 and leaves
-    # none; exit 1 would be a traceback
-    flags, suffix, blob = run
+    _check_cli_run(tmp_path, "fam", *run, pgm_log)
+
+
+def _check_cli_run(tmp_path, command, flags, suffix, blob, pgm_log):
+    """Run main() on a drawn run in a fresh directory and check what it left.
+
+    Exit 0 leaves finite outputs, any other exit is 2, 3 or 4 and leaves
+    none; exit 1 would be a traceback. A flag value may name the directory
+    as {work}; its spill/ folder is empty again when the run ends.
+    """
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         inp = os.path.join(work, "in" + suffix)
         with open(inp, "wb") as fh:
             fh.write(blob)
+        spill = os.path.join(work, "spill")
+        os.mkdir(spill)
         scd1, csv, pgm = (os.path.join(work, name) for name in ("o.scd1", "p.csv", "h.pgm"))
-        argv = (["fam", "-i", inp, "-o", scd1, "--profile-csv", csv, "--pgm", pgm]
-                + ["--pgm-log"] * pgm_log + [f"{name}={value}" for name, value in flags.items()])
+        argv = ([command, "-i", inp, "-o", scd1, "--profile-csv", csv, "--pgm", pgm]
+                + ["--pgm-log"] * pgm_log
+                + [f"{name}={value.format(work=work)}" for name, value in flags.items()])
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             rc = exc.code
         assert rc in (0, 2, 3, 4), rc
-        outputs = sorted(set(os.listdir(work)) - {"in" + suffix})
+        assert os.listdir(spill) == []
+        outputs = sorted(set(os.listdir(work)) - {"in" + suffix, "spill"})
         if rc != 0:
             assert outputs == []
             return
@@ -831,6 +893,51 @@ def test_fam_cli_exits_cleanly_on_any_flags_and_input(tmp_path, run, pgm_log):
         rows, cols = flags["--alpha-bins"], flags["--f-bins"]
         with open(pgm, "rb") as fh:
             assert fh.read().startswith(f"P5\n{cols} {rows}\n255\n".encode())
+
+
+# weighted toward runs that pass the configuration checks, so that about
+# one example in nine exits 0; --m1 "auto" leaves the flag out
+_SSCA_FLAGS = {
+    "--n": st.sampled_from([4096, 8192, 4096, 1024]),
+    "--np": st.sampled_from([32, 64, 128, 256, 16]),
+    "--m1": st.sampled_from(["auto", "auto", "auto", 32, 64, 4, 1024]),
+    "--mode": st.sampled_from(["2d", "direct"]),
+    "--mem-cap": st.sampled_from([1 << 24, 1, 1 << 16]),
+    "--f-bins": st.integers(1, 70),
+    "--alpha-bins": st.integers(1, 70),
+    "--precision": st.sampled_from(["f32", "f64"]),
+}
+# a spill directory that exists, one that does not, and a regular file
+_SPILL_DIRS = ["{work}/spill", "{work}/missing/spill", "{work}/in.iq"]
+
+
+@st.composite
+def _ssca_flags_and_input(draw):
+    # a mem-cap of 1 spills any run of the decomposed back end and refuses
+    # any run of the direct one
+    flags = _draw_flags(draw, _SSCA_FLAGS)
+    if flags["--m1"] == "auto":
+        del flags["--m1"]
+    flags["--spill-dir"] = draw(st.sampled_from(_SPILL_DIRS))
+    flags["--threads"] = str(draw(st.integers(1, 8)))
+    kinds = ["valid"] * 2 + _INPUT_KINDS
+    return (flags,) + _draw_input(draw, _input_length(flags, 8192), kinds)
+
+
+_SSCA_SPILLED_RUN = ({"--n": "4096", "--np": "32", "--mode": "2d", "--mem-cap": "1",
+                      "--f-bins": "8", "--alpha-bins": "8", "--precision": "f32",
+                      "--spill-dir": "{work}/spill", "--threads": "2"},
+                     ".iq", (np.arange(8192, dtype=np.float32) / 8192).tobytes())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ssca_flags_and_input(), st.booleans())
+@example(_SSCA_SPILLED_RUN, False).via("a spilled run that succeeds")
+def test_ssca_cli_exits_cleanly_on_any_flags_and_input(tmp_path, run, pgm_log):
+    # the fam property's contract for scdkit ssca; a spill file never
+    # outlives its run
+    _check_cli_run(tmp_path, "ssca", *run, pgm_log)
 
 
 @pytest.mark.parametrize("command,target", [

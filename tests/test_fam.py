@@ -261,6 +261,32 @@ def test_fam_scd_mirror_matches_all_pairs(n, np_ch, g_kind, precision, tol):
     assert hashes == {value_hash(est.values)}
 
 
+def _no_execute(*args, **kwargs):
+    raise AssertionError("FftPlan.execute was called")
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("n,np_ch", [(2048, 256), (16, 8)])
+def test_fam_scd_folds_p_into_g_without_execute(n, np_ch, precision):
+    # the forward-scaled FFT of the pair products times P, with P folded
+    # into g, equals the unscaled FFT bit for bit; P = 8 at (16, 8), so the
+    # kept and mirrored bin ranges hold one or two bins each
+    cfg = sk.FamConfig(N=n, Np=np_ch, precision=precision)
+    x = _random_series(n, seed=np_ch)
+    xt = sk.demodulate(sk.frame(sk.normalize(x.astype(sk._util.complex_dtype(precision))),
+                                cfg), cfg)
+    ref = _all_pairs_fam_scd(xt, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sk.fftcore.FftPlan, "execute", _no_execute)
+        est = sk.fam_full(x, cfg)
+    got = est.values.reshape(np_ch, np_ch, cfg.P // 2)
+    k = np.arange(np_ch)
+    computed = k[None, :] >= (k[:, None] // sk.fam._PAIR_CHUNK) * sk.fam._PAIR_CHUNK
+    assert np.array_equal(got[computed], ref[computed])
+    tol = 2e-7 if precision == "f32" else 1e-15
+    assert np.abs(got - ref).max() <= tol * ref.max()
+
+
 def test_fam_alpha_lattice():
     # every emitted alpha is an integer multiple of 1/N
     cfg = sk.FamConfig(N=128, Np=16, precision="f64")
@@ -459,6 +485,84 @@ def test_pair_lattice_path_on_toeplitz_and_hankel_bases(dtype, alpha_kind, f_kin
     assert np.isnan(grid).sum() == 1 and np.isnan(profile.values).sum() == 1
     assert np.array_equal(grid, _grid_reference(est, 9, 13), equal_nan=True)
     assert np.array_equal(profile.values, _profile_reference(est, 11), equal_nan=True)
+
+
+def _fam_shaped(r, cols, seed):
+    # FAM's layout at any R: alpha is a function of k - l, f of k + l, and
+    # the columns are the kept cycle bins q in [0, cols/2) then [-cols/2, 0);
+    # channel frequencies on a power-of-two lattice keep both bases exact
+    f_k = (np.arange(r) - r // 2) / (1 << (r - 1).bit_length())
+    q = cols // 2
+    rng = np.random.default_rng(seed)
+    return sk.ScdEstimate(
+        values=rng.choice([0.0, 0.25, 1.0, 2.0], size=(r * r, cols)).astype(np.float32)
+        + rng.random((r * r, cols), dtype=np.float32),
+        f_base=((f_k[:, None] + f_k[None, :]) / 2.0).reshape(-1),
+        alpha_base=(f_k[:, None] - f_k[None, :]).reshape(-1),
+        col_offsets=np.concatenate((np.arange(q), np.arange(q - cols, 0))).astype(np.float64),
+        f_slope=0.0, alpha_slope=1.0 / (2 * r * cols),
+    )
+
+
+@pytest.mark.parametrize("r,cols,chunk", [(2, 7, 7), (3, 7, 12), (16, 10, 100), (40, 10, 300)])
+def test_fam_pair_grid_by_blocks_of_channels_matches_reference(r, cols, chunk):
+    # the chunk cuts the columns into blocks of chunk // (2R - 1) with a
+    # narrower last one, and each column block of width w into blocks of
+    # chunk // (R w) channels that do not divide R; the grid is applied
+    # whole and by row blocks of three channels
+    col_block = chunk // (2 * r - 1)
+    assert cols % col_block
+    widths = [min(col_block, cols - c0) for c0 in range(0, cols, col_block)]
+    assert any(r % max(1, chunk // (r * w)) for w in widths) or r == 2
+    est = _fam_shaped(r, cols, seed=r)
+    ref = _grid_reference(est, 23, 61)
+    scatter_plan = estimate._scatter_plan
+
+    def by_row_blocks(shape, col_offsets, axes):
+        plan = scatter_plan(shape, col_offsets, axes)
+
+        def apply(grid, values, row0):
+            for r0 in range(0, values.shape[0], 3 * r):
+                plan(grid, values[r0:r0 + 3 * r], row0 + r0)
+        return apply
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "_GRID_CHUNK", chunk)
+        mp.setattr(estimate, "_scatter_bins", _refuse)
+        mp.setattr(estimate, "_run_plan", _refuse)
+        whole = sk.scd_to_grid(est, 23, 61)
+        mp.setattr(estimate, "_scatter_plan", by_row_blocks)
+        blocks = sk.scd_to_grid(est, 23, 61)
+    assert np.array_equal(whole, ref)
+    assert np.array_equal(blocks, ref)
+
+
+def test_fam_grid_scatters_once_per_block_of_channels(monkeypatch):
+    # at (2048, 256) on 1024 x 512 a block is 16 channels of 256 x 16 bins,
+    # so the grid takes 16 scatters of 65536 bins, not 256 of 4096
+    cfg = sk.FamConfig(N=2048, Np=256)
+    est = sk.fam_full(_random_series(2048, seed=9), cfg)
+    ref = _grid_reference(est, 512, 1024)
+    sizes = []
+
+    class _Maximum:
+        def __call__(self, *args, **kwargs):
+            return np.maximum(*args, **kwargs)
+
+        def at(self, a, indices, b):
+            sizes.append(indices.size)
+            np.maximum.at(a, indices, b)
+
+    class _Numpy:
+        maximum = _Maximum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(estimate, "np", _Numpy())
+    grid = sk.fam_to_grid(est, 512, 1024)
+    assert sizes == [estimate._GRID_CHUNK] * 16
+    assert np.array_equal(grid, ref)
 
 
 @pytest.mark.parametrize("name", ["alpha_base", "f_base"])
