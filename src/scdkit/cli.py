@@ -8,8 +8,6 @@ failure in compare.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import statistics
 import sys
 import time
@@ -17,6 +15,7 @@ import time
 import numpy as np
 
 from . import io as scdio
+from . import op
 from ._util import value_hash
 from .errors import (
     CapacityError,
@@ -25,12 +24,11 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .estimate import ALPHA_RANGE, F_RANGE, alpha_profile, check_grid_capacity, scd_to_grid
-from .fam import FamConfig, fam_full
+from .fam import FamConfig
 from .oracle import error_stats
 from .planner import format_report, plan_fam, plan_ssca
 from .signal import DsssBpskConfig, WindowSpec, generate_dsss_bpsk
-from .ssca import SscaConfig, ssca_full
+from .ssca import SscaConfig
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -39,44 +37,17 @@ TOLERANCE_ERROR = 4
 _MODE_NAMES = {"direct": "direct_1d", "2d": "decomposed_2d"}
 
 
-def _load_input(path, expected_n: int) -> np.ndarray:
-    x = scdio.read_iq_csv(path) if str(path).endswith(".csv") else scdio.read_iq(path)
-    if x.shape[0] != expected_n:
-        raise DataError(f"{path}: holds {x.shape[0]} samples but --n is {expected_n}")
-    return x
-
-
-def _export(est, args) -> None:
-    """Write the SCD1 grid, then the optional profile CSV and PGM.
-
-    A failed step removes the files this run wrote, including a partial
-    file the step itself created, so a failed run leaves no outputs.
-    """
-    grid = scd_to_grid(est, args.f_bins, args.alpha_bins)
-    steps = [(args.output, lambda path: scdio.write_scd1(
-        path, grid, ALPHA_RANGE, F_RANGE, precision=args.precision))]
-    if args.profile_csv:
-        steps.append((args.profile_csv, lambda path: scdio.write_profile_csv(
-            path, alpha_profile(est, 2 * est.meta["N"] + 1))))
-    if args.pgm:
-        steps.append((args.pgm, lambda path: scdio.write_pgm(path, grid, log_scale=args.pgm_log)))
-    written = []
-    for path, write in steps:
-        created = not os.path.lexists(path)
-        try:
-            write(path)
-        except BaseException:
-            if created and os.path.isfile(path):
-                written.append(path)
-            for done in written:
-                with contextlib.suppress(OSError):
-                    os.unlink(done)
-            raise
-        written.append(path)
+def _run_op(cfg, args, settings: str) -> int:
+    """Run the file-to-file op, then print the estimator's line and the outputs."""
+    res = op.run(cfg, args.input, args.output, f_bins=args.f_bins, alpha_bins=args.alpha_bins,
+                 profile_csv=args.profile_csv, pgm=args.pgm, pgm_log=args.pgm_log,
+                 threads=args.threads)
+    print(f"{settings} bins={res.n_bins} elapsed={res.elapsed_s * 1000.0:.1f} ms")
     print(f"wrote {args.output} ({args.alpha_bins} x {args.f_bins} grid)")
-    for path in written[1:]:
+    for path in res.written[1:]:
         print(f"wrote {path}")
-    print(f"output_sha256={value_hash(est.values)}")
+    print(f"output_sha256={res.output_sha256}")
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -101,15 +72,7 @@ def cmd_fam(args) -> int:
         a_window=WindowSpec(args.a_window, args.np, args.atten_db),
         precision=args.precision,
     )
-    check_grid_capacity(args.f_bins, args.alpha_bins)
-    x = _load_input(args.input, args.n)
-    t0 = time.perf_counter()
-    est = fam_full(x, cfg, threads=args.threads)
-    elapsed = time.perf_counter() - t0
-    print(f"fam: N={args.n} Np={args.np} precision={args.precision} "
-          f"bins={est.n_bins} elapsed={elapsed * 1000.0:.1f} ms")
-    _export(est, args)
-    return 0
+    return _run_op(cfg, args, f"fam: N={args.n} Np={args.np} precision={args.precision}")
 
 
 def cmd_ssca(args) -> int:
@@ -123,15 +86,8 @@ def cmd_ssca(args) -> int:
         mem_cap_values=args.mem_cap,
         spill_dir=args.spill_dir,
     )
-    check_grid_capacity(args.f_bins, args.alpha_bins)
-    x = _load_input(args.input, args.n)
-    t0 = time.perf_counter()
-    est = ssca_full(x, cfg, threads=args.threads)
-    elapsed = time.perf_counter() - t0
-    print(f"ssca: N={args.n} Np={args.np} M1={cfg.M1} mode={args.mode} "
-          f"precision={args.precision} bins={est.n_bins} elapsed={elapsed * 1000.0:.1f} ms")
-    _export(est, args)
-    return 0
+    return _run_op(cfg, args, f"ssca: N={args.n} Np={args.np} M1={cfg.M1} mode={args.mode} "
+                              f"precision={args.precision}")
 
 
 def cmd_compare(args) -> int:
@@ -168,15 +124,14 @@ def cmd_bench(args) -> int:
     x = generate_dsss_bpsk(gen_cfg)
     if args.estimator == "fam":
         cfg = FamConfig(N=args.n, Np=args.np, precision=args.precision)
-        run = lambda: fam_full(x, cfg, threads=args.threads)
     else:
         cfg = SscaConfig(N=args.n, Np=args.np, M1=args.m1, precision=args.precision)
-        run = lambda: ssca_full(x, cfg)
+    threads = getattr(args, "threads", 1)  # bench ssca times the one-thread 2-D back end
     times = []
     est = None
     for i in range(args.repeat):
         t0 = time.perf_counter()
-        est = run()
+        est = op.estimate(x, cfg, threads)
         times.append(time.perf_counter() - t0)
         print(f"run[{i}]={times[-1] * 1000.0:.2f} ms")
     med = statistics.median(times)
@@ -314,7 +269,7 @@ def main(argv=None) -> int:
     except (DataError, DimensionError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except MemoryError as exc:  # _export has already removed any partial outputs
+    except MemoryError as exc:  # op.run has already removed any partial outputs
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return DATA_ERROR
 

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import complex_dtype, require_finite
-from .errors import ConfigurationError, DataError, DimensionError
+from .errors import CapacityError, ConfigurationError, DataError, DimensionError
 
 WINDOW_KINDS = ("chebyshev", "rectangular", "hamming")
 
@@ -33,6 +33,8 @@ _SNR_DB_MIN = -10.0 * math.log10(float(np.finfo(np.float32).max))
 # From this SNR on the noise amplitude is below 1e-150 of the chips', and
 # 10^(snr_db/10) nears the float64 limit, so the noise is dropped as at +inf.
 _SNR_DB_NOISELESS = 3000.0
+# complex128 samples past this many have more bytes than one array can index
+_SAMPLES_MAX = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class DsssBpskConfig:
     chip_rate the chip rate as a fraction of the sample rate, and snr_db the
     per-realization ratio of mean signal power to mean noise power (+inf
     for no noise). An snr_db below _SNR_DB_MIN, whose noise power float32
-    samples cannot hold, is refused, and so are NaN and a negative seed.
+    samples cannot hold, is refused, and so are NaN and a negative seed;
+    more than _SAMPLES_MAX samples is a CapacityError.
     """
 
     n_samples: int
@@ -86,6 +89,9 @@ class DsssBpskConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
+        if self.n_samples > _SAMPLES_MAX:
+            raise CapacityError(f"n_samples {self.n_samples} exceeds {_SAMPLES_MAX}, the most "
+                                "complex128 samples one array can hold")
         if self.processing_gain < 1:
             raise ConfigurationError("processing_gain must be >= 1")
         if not 0.0 < self.chip_rate <= 0.5:

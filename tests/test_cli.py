@@ -1,6 +1,12 @@
+import contextlib
 import errno
+import hashlib
+import io
 import os
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -941,22 +947,26 @@ def test_ssca_cli_exits_cleanly_on_any_flags_and_input(tmp_path, run, pgm_log):
 
 
 @pytest.mark.parametrize("command,target", [
-    (["gen", "--n", "1024", "-o", "{out}"], "generate_dsss_bpsk"),
-    (["bench", "fam", "--n", "512", "--np", "64", "--repeat", "1"], "generate_dsss_bpsk"),
-    (["fam", "-i", "{iq}", "--n", "512", "--np", "64", "-o", "{out}"], "fam_full"),
-], ids=["gen", "bench-fam", "fam"])
+    (["gen", "--n", "1024", "-o", "{out}"], "cli.generate_dsss_bpsk"),
+    (["bench", "fam", "--n", "512", "--np", "64", "--repeat", "1"], "cli.generate_dsss_bpsk"),
+    (["fam", "-i", "{iq}", "--n", "512", "--np", "64", "-o", "{out}"], "op.fam_full"),
+    (["ssca", "-i", "{iq}", "--n", "4096", "--np", "32", "--mem-cap", "1", "--spill-dir", "{tmp}",
+      "-o", "{out}"], "ssca._stage2"),
+], ids=["gen", "bench-fam", "fam", "ssca"])
 def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, command, target):
     # numpy's _ArrayMemoryError (a MemoryError) used to end in a traceback,
-    # exit 1; it is raised here by a stand-in, never by a real allocation
+    # exit 1; it is raised here by a stand-in, never by a real allocation.
+    # The ssca run fails in stage 2, once its spill file is written
     iq = tmp_path / "x.iq"
-    assert main(["gen", "--n", "512", "--seed", "2", "-o", str(iq)]) == 0
+    n = "4096" if command[0] == "ssca" else "512"
+    assert main(["gen", "--n", n, "--seed", "2", "-o", str(iq)]) == 0
     capsys.readouterr()
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
 
-    monkeypatch.setattr(cli, target, out_of_memory)
-    assert main([arg.format(iq=iq, out=tmp_path / "o.out") for arg in command]) == 3
+    monkeypatch.setattr(f"scdkit.{target}", out_of_memory)
+    assert main([arg.format(iq=iq, out=tmp_path / "o.out", tmp=tmp_path) for arg in command]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: out of memory") and captured.err.count("\n") == 1
     assert "wrote" not in captured.out
@@ -1068,3 +1078,228 @@ def test_failed_export_removes_only_what_it_wrote(tmp_path, capsys, monkeypatch,
     assert "No space" in capsys.readouterr().err
     assert not out.exists()
     assert pgm.read_bytes() == b"earlier" if pgm_existed else not pgm.exists()
+
+
+# scdkit run as `python -m scdkit.cli` in one directory: each run's stdout,
+# with the elapsed time masked, then the sha256 of every file left there
+_GOLDEN_RUNS = [
+    ("gen --n 512 --seed 5 -o f.iq",
+     ["wrote f.iq: 512 samples, gain 31, chip rate 0.25, snr 10.0 dB, seed 5"]),
+    ("gen --n 4096 --seed 6 --snr 3 -o s.iq",
+     ["wrote s.iq: 4096 samples, gain 31, chip rate 0.25, snr 3.0 dB, seed 6"]),
+    ("fam -i f.iq --n 512 --np 64 -o fam.scd1 --profile-csv fam.csv --pgm fam.pgm --pgm-log",
+     ["fam: N=512 Np=64 precision=f32 bins=65536 elapsed=<ms> ms",
+      "wrote fam.scd1 (1024 x 512 grid)", "wrote fam.csv", "wrote fam.pgm",
+      "output_sha256=8cbbc0712e73c73a21a74d557b7f13b5489beb52100be36210581ff51106d77e"]),
+    ("ssca -i s.iq --n 4096 --np 32 --mode 2d -o a.scd1 --profile-csv a.csv --pgm a.pgm",
+     ["ssca: N=4096 Np=32 M1=64 mode=2d precision=f32 bins=131072 elapsed=<ms> ms",
+      "wrote a.scd1 (1024 x 512 grid)", "wrote a.csv", "wrote a.pgm",
+      "output_sha256=39a949361757acc3b59b381f459b26e3f98f019d3e2dd21c3a1b929022091e8e"]),
+    ("ssca -i s.iq --n 4096 --np 32 --mode 2d --mem-cap 1 --spill-dir spill -o b.scd1 "
+     "--profile-csv b.csv --pgm b.pgm --pgm-log",
+     ["ssca: N=4096 Np=32 M1=64 mode=2d precision=f32 bins=131072 elapsed=<ms> ms",
+      "wrote b.scd1 (1024 x 512 grid)", "wrote b.csv", "wrote b.pgm",
+      "output_sha256=39a949361757acc3b59b381f459b26e3f98f019d3e2dd21c3a1b929022091e8e"]),
+    ("ssca -i s.iq --n 4096 --np 32 --mode direct --precision f64 -o c.scd1",
+     ["ssca: N=4096 Np=32 M1=64 mode=direct precision=f64 bins=131072 elapsed=<ms> ms",
+      "wrote c.scd1 (1024 x 512 grid)",
+      "output_sha256=280a224aa86db10ffd637c20497da1a0e7985756e3794753c22d6df0423045fa"]),
+    ("compare a.scd1 b.scd1 --tol 0",
+     ["n_bins=524288", "mean_rel=0.000000e+00", "max_rel=0.000000e+00", "mean_abs=0.000000e+00"]),
+    ("compare a.scd1 c.scd1 --tol 1e-3",
+     ["n_bins=524288", "mean_rel=7.140133e-09", "max_rel=1.798184e-05", "mean_abs=1.824453e-07"]),
+]
+_GOLDEN_FILES = {
+    "f.iq": "2ce8408a21b2eb9ba006617820a41ed217498dfa66bc961c8edfdcfc9a9c3804",
+    "s.iq": "b88b60ee1c4df0028f2c845586ed9a831e951de17a6809d0f2e013c887deccf8",
+    "fam.scd1": "afdef2f9c9f71d34ef27dde4a7a9f02c9cd4c8c86218cdbdbd454728857a8cec",
+    "fam.csv": "3cb7615da25b5e7327bf81a1760b964c68199c414058f9649fde47dfffa0f5d1",
+    "fam.pgm": "b7a143f6fc91d7a31e3f939236ec0ba350032cf651279c60ddccbe4823995311",
+    "a.scd1": "a8a6bafb953f527039de3906fe60a0e28445d0df8fe98031f7cacd70c11f40b6",
+    "a.csv": "93bc48a76e8da9d0443a64b4d1be16b837c2b59c7532cb471cef92250400678c",
+    "a.pgm": "598dd6e7512e1feed0fb07af4ed4ede0a122f5b1394014f5dcd2dc418b24d200",
+    "b.scd1": "a8a6bafb953f527039de3906fe60a0e28445d0df8fe98031f7cacd70c11f40b6",
+    "b.csv": "93bc48a76e8da9d0443a64b4d1be16b837c2b59c7532cb471cef92250400678c",
+    "b.pgm": "c13cf9d10e0bc724aefccb57e68ac129e1eb1d372cd5d53cdc1c0c9d82223fc5",
+    "c.scd1": "c120cb92816c39f975b18cb0cae0834aee165b55cdb85038921f4577e18d096f",
+}
+
+
+def test_cli_module_golden_runs(tmp_path):
+    # the module entry point, with the scdkit these tests import
+    src = os.path.dirname(os.path.dirname(sk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    (tmp_path / "spill").mkdir()
+    for argv, want in _GOLDEN_RUNS:
+        proc = subprocess.run([sys.executable, "-m", "scdkit.cli", *argv.split()], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        got = re.sub(r"elapsed=[0-9.]+ ms", "elapsed=<ms> ms", proc.stdout).splitlines()
+        assert got == want, argv
+    assert os.listdir(tmp_path / "spill") == []
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in tmp_path.iterdir() if p.is_file()}
+    assert files == _GOLDEN_FILES
+
+
+@pytest.mark.parametrize("estimator,n,np_channels,extra", [
+    ("fam", 512, 64, []),
+    ("ssca", 4096, 32, ["--mem-cap", "1", "--spill-dir", "{spill}"]),
+], ids=["fam", "ssca-spilled"])
+def test_non_finite_grid_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, estimator, n,
+                                                    np_channels, extra):
+    # an estimator that returns one NaN bin: the op's check of the grid
+    # refuses it, names the cell, and nothing is written
+    from scdkit import op
+
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", str(n), "--seed", "2", "-o", str(iq)]) == 0
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    real, seen = getattr(op, f"{estimator}_full"), []
+
+    def one_nan_bin(*args, **kwargs):
+        est = real(*args, **kwargs)
+        est.values[3, 5] = np.nan
+        seen.append(est)
+        return est
+
+    monkeypatch.setattr(op, f"{estimator}_full", one_nan_bin)
+    capsys.readouterr()
+    rc = main([estimator, "-i", str(iq), "--n", str(n), "--np", str(np_channels),
+               "-o", str(tmp_path / "o.scd1"), "--profile-csv", str(tmp_path / "p.csv"),
+               "--pgm", str(tmp_path / "h.pgm")] + [a.format(spill=spill) for a in extra])
+    assert rc == 3
+    with np.errstate(invalid="ignore"):
+        (row, col), = np.argwhere(np.isnan(sk.scd_to_grid(seen[0], 512, 1024)))
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: the grid holds 1 non-finite cells "
+                            f"(first at alpha bin {row}, f bin {col})\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spill", "x.iq"]
+    assert list(spill.iterdir()) == []
+
+
+@pytest.mark.parametrize("estimator,n,np_channels", [("fam", 512, 64), ("ssca", 4096, 32)])
+def test_failed_run_prints_nothing_on_stdout(tmp_path, capsys, estimator, n, np_channels):
+    # the CLI prints once the op has returned, so a run whose last output
+    # fails prints no estimator line either
+    iq = tmp_path / "x.iq"
+    assert main(["gen", "--n", str(n), "--seed", "2", "-o", str(iq)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    capsys.readouterr()
+    rc = main([estimator, "-i", str(iq), "--n", str(n), "--np", str(np_channels),
+               "-o", str(tmp_path / "o.scd1"), "--pgm", str(folder)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "x.iq"]
+
+
+# the flags of gen, bench and plan with the values their runs start from;
+# up to two of them take a boundary value (threads stay in 1-8, and bench
+# runs once, on a small N)
+_OTHER_FLAGS = {
+    "gen": {"--n": st.sampled_from([64, 1024, 4096]), "--gain": st.sampled_from([1, 7, 31]),
+            "--chip-rate": st.sampled_from([0.5, 0.25, 0.1]),
+            "--snr": st.floats(-385.0, 4000.0), "--seed": st.integers(0, 2 ** 40)},
+    "bench fam": {"--n": st.sampled_from([16, 64, 512]), "--np": st.sampled_from([8, 16, 64]),
+                  "--precision": st.sampled_from(["f32", "f64"]),
+                  "--seed": st.integers(0, 2 ** 40)},
+    "bench ssca": {"--n": st.sampled_from([4096, 8192]), "--np": st.sampled_from([16, 32, 64]),
+                   "--m1": st.sampled_from([32, 64, 128, 4]),
+                   "--precision": st.sampled_from(["f32", "f64"]),
+                   "--seed": st.integers(0, 2 ** 40)},
+    "plan fam": {"--n": st.sampled_from([128, 2048, 4096, 8192]),
+                 "--np": st.sampled_from([16, 64, 256, 512])},
+    "plan ssca": {"--n": st.sampled_from([4096, 1 << 16, 1 << 20]),
+                  "--np": st.sampled_from([16, 64, 256]),
+                  "--m1": st.sampled_from([64, 256, 1024, 4])},
+}
+
+
+@st.composite
+def _compare_file(draw, work, name):
+    """Path of an SCD1 file of one of the kinds compare may be given, or of none."""
+    path = os.path.join(work, name)
+    kind = draw(st.sampled_from(["grid", "grid", "shape", "range", "nan cell", "truncated",
+                                 "not scd1", "directory", "missing"]))
+    grid = np.linspace(0.0, 1.0, 24).reshape(6, 4) * draw(st.sampled_from([1.0, 1e-300, 0.0]))
+    alpha_range = (-1.0, 1.0)
+    if kind == "shape":
+        grid = np.resize(grid, draw(st.sampled_from([(4, 6), (24, 1), (0, 4), (6, 0)])))
+    elif kind == "range":
+        alpha_range = (-0.5, draw(st.sampled_from([1.0, np.nan, np.inf])))
+    elif kind == "nan cell":
+        grid[draw(st.integers(0, 5)), draw(st.integers(0, 3))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    if kind == "directory":
+        os.mkdir(path)
+    elif kind != "missing":
+        scdio.write_scd1(path, grid, alpha_range, precision=draw(st.sampled_from(["f32", "f64"])))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if kind == "truncated":
+            blob = blob[:draw(st.integers(0, len(blob) - 1))]
+        elif kind == "not scd1":
+            blob = draw(st.binary(max_size=120))
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    return path
+
+
+def _draw_other_run(draw, command, work):
+    """argv of one run of gen, compare, bench or plan in the directory work."""
+    if command == "compare":
+        tol = draw(st.one_of(st.none(), st.sampled_from(["0", "1e-3"] + _BAD_FLAG_VALUES)))
+        return (["compare", draw(_compare_file(work, "test.scd1")),
+                 draw(_compare_file(work, "ref.scd1"))] + ([f"--tol={tol}"] if tol else []))
+    flags = _draw_flags(draw, _OTHER_FLAGS[command])
+    argv = command.split() + [f"{name}={value}" for name, value in flags.items()]
+    if command == "gen":
+        argv += ["-o", os.path.join(work, "x.iq")]
+    elif command == "bench fam":
+        argv += ["--repeat", "1", f"--threads={draw(st.integers(1, 8))}"]
+    elif command == "bench ssca":
+        argv += ["--repeat", "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["gen", "compare", "bench fam", "bench ssca", "plan fam",
+                                     "plan ssca"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_other_commands_exit_cleanly_on_any_flags_and_input(tmp_path, command, data):
+    # the fam and ssca properties' contract for every other command: exit 0,
+    # 2, 3 or 4, never a traceback; an error of our own is one error: line,
+    # and a gen that fails writes nothing
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        argv = _draw_other_run(data.draw, command, work)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        assert rc in (0, 2, 3, 4), (rc, argv)
+        if rc == 3 or (rc == 2 and not err.getvalue().startswith("usage:")):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if command == "gen":
+            assert os.path.exists(f"{work}/x.iq") == (rc == 0)
+
+
+@pytest.mark.parametrize("command", [["gen", "-o", "{out}"], ["bench", "fam", "--repeat", "1"],
+                                     ["bench", "ssca", "--repeat", "1"]],
+                         ids=["gen", "bench-fam", "bench-ssca"])
+def test_sample_count_past_any_array_exits_3(tmp_path, capsys, command):
+    # numpy's "Maximum allowed dimension exceeded" used to end in a
+    # traceback, exit 1
+    argv = [arg.format(out=tmp_path / "x.iq") for arg in command] + ["--n", str(10 ** 30)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: n_samples {10 ** 30} exceeds {2 ** 59 - 1}, ")
+    assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
