@@ -5,7 +5,8 @@ complex64 in single precision, complex128 in double. Plans are immutable,
 cached per power-of-two size, and keep the shared size envelope and
 length checks. execute() is the unscaled forward DFT
 X[k] = sum_n x[n] exp(-i 2 pi n k / size); forward() returns exactly X / size.
-channelize() is the down-converting channelizer FAM and the SSCA share.
+channelize() is the down-converting channelizer FAM and the SSCA share;
+four_step_stage1() is stage 1 of the SSCA's and fft_decomposed()'s M1 x M2 FFT.
 """
 
 from __future__ import annotations
@@ -122,14 +123,29 @@ def rotation_factors(m1_out: int, cols: np.ndarray, n: int, dtype=np.complex128)
     return table.astype(dtype)
 
 
+def four_step_stage1(strips: np.ndarray, c0: int, n: int, out: np.ndarray) -> None:
+    """Stage 1 of the M1 x M2 four-step FFT for columns c0.. of N-point series.
+
+    strips[j, :, k] is column c0 + j of channel k's (M1, M2) grid. out, any
+    (channels, columns, M1) view, gets each column's forward-scaled M1-point
+    FFT times exp(-i 2 pi m1p (c0 + j) / n) * n: M2 times the unscaled values.
+    """
+    cols, m1 = strips.shape[:2]
+    blk = out.transpose(1, 2, 0)
+    get_plan(m1).forward(strips, axis=1, out=blk)
+    rot = rotation_factors(m1, np.arange(c0, c0 + cols), n, out.dtype)
+    rot *= n
+    blk *= rot.T[:, :, None]
+
+
 def fft_decomposed(x: np.ndarray, m1: int, m2: int) -> np.ndarray:
     """N-point DFT via an M1 x M2 two-stage decomposition.
 
     The series is reshaped row-major as x[i1, i2] = x[i1*m2 + i2]. Stage 1
-    runs an M1-point FFT down each column, multiplies by the rotation factor
-    exp(-i 2 pi i2 k1 / (m1 m2)), and stage 2 runs an M2-point FFT along each
-    row. Reading the result back with global bin k = m1*k2 + k1 reproduces
-    the plain DFT bin ordering exactly.
+    is the SSCA's four_step_stage1 on one channel: an M1-point FFT down each
+    column times the rotation factor exp(-i 2 pi i2 k1 / (m1 m2)). Stage 2
+    runs an M2-point FFT along each row. Reading the result back with global
+    bin k = m1*k2 + k1 reproduces the plain DFT bin ordering exactly.
     """
     x = np.asarray(x)
     if x.ndim != 1:
@@ -142,9 +158,7 @@ def fft_decomposed(x: np.ndarray, m1: int, m2: int) -> np.ndarray:
     if x.shape[0] != n:
         raise DimensionError(f"length {x.shape[0]} does not factor as {m1} x {m2}")
     dtype = x.dtype if x.dtype in (np.complex64, np.complex128) else np.complex128
-    a = x.astype(dtype, copy=False).reshape(m1, m2)
-    s1 = get_plan(m1).execute(a, axis=0)
-    s1 = s1 * rotation_factors(m1, np.arange(m2), n, dtype)
-    s2 = get_plan(m2).execute(s1, axis=1)
-    # bin k = m1*k2 + k1
-    return np.ascontiguousarray(s2.T).reshape(n)
+    out = np.empty((1, m2, m1), dtype=dtype)
+    four_step_stage1(x.astype(dtype, copy=False).reshape(m1, m2).T[:, :, None], 0, n, out)
+    get_plan(m2).forward(out[0], axis=0, out=out[0])
+    return out.reshape(n)

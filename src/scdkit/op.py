@@ -43,7 +43,8 @@ def run(cfg, input_path, scd1, *, f_bins: int, alpha_bins: int, profile_csv=None
     check_grid_capacity(f_bins, alpha_bins)
     x = (scdio.read_iq_csv if str(input_path).endswith(".csv") else scdio.read_iq)(input_path)
     if x.shape[0] != cfg.N:
-        raise DataError(f"{input_path}: holds {x.shape[0]} samples but --n is {cfg.N}")
+        raise DataError(f"{input_path}: holds {x.shape[0]} samples, "
+                        f"but the configuration's N is {cfg.N}")
     t0 = time.perf_counter()
     est = estimate(x, cfg, threads)
     elapsed = time.perf_counter() - t0

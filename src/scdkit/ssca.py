@@ -5,15 +5,15 @@ the conjugate of the raw signal; one length-N transform per channel then
 covers a strip of the (f, alpha) plane. Two interchangeable back ends
 compute that transform: a direct N-point FFT per channel, and a two-stage
 M1 x M2 decomposition (the four-step scheme for FFTs in hierarchical
-memory) whose stage 1 streams column strips into a channel-major
-(Np, M2, M1) store, the layout of the values, and whose stage 2 transforms
-one whole channel at a time, in place. Stage 1 stages groups of columns
-channel-major, so the store is a plain array written by slice copies, or a
-spill file past the in-memory cap, written with one os.pwrite per channel
-per group and read with one os.preadv per channel (POSIX), never mapped, so
-the cap bounds resident memory. Both stores produce bit-identical
-magnitudes. The CDP kernel, which holds the padded input and the N-long
-scale, lives only through stage 1; stage 2 reads nothing but the store.
+memory). Its stage 1 writes one group of columns at a time channel-major
+into a staging block and on into an (Np, M2, M1) store, the layout of the
+values; its stage 2 transforms one whole channel at a time, in place. The
+store is a plain array written by slice copies, or a spill file past the
+in-memory cap, written with one os.pwrite per channel per group and read
+with one os.preadv per channel (POSIX), never mapped, so the cap bounds
+resident memory. Both stores produce bit-identical magnitudes. The CDP
+kernel, which holds the padded input and the N-long scale, lives only
+through stage 1; stage 2 reads nothing but the store.
 
 The CDP rows and both stages of the decomposed back end run their FFTs
 forward-scaled (FftPlan.forward, X / size), and each size rides in a factor
@@ -37,12 +37,12 @@ from ._util import (block_ranges, complex_dtype, default_split, is_pow2, real_dt
                     run_partitioned)
 from .errors import CapacityError, ConfigurationError
 from .estimate import ScdEstimate, scd_to_grid
-from .fftcore import channelize, get_plan, rotation_factors
+from .fftcore import channelize, four_step_stage1, get_plan
 from .signal import WindowSpec, prepare_input, sliding_frames, window_array
 
-_CDP_BLOCK_ELEMS = 1 << 21   # CDP rows are built in blocks of about this many values
-_STRIP_ELEMS = 1 << 16       # values per stage-1 strip batch
-_GROUP_ELEMS = 1 << 20       # stage-1 values staged channel-major per store write
+# CDP values per kernel.rows call: a row block of the direct back end, or a
+# group of stage-1 columns staged channel-major per store write
+_BLOCK_ELEMS = 1 << 19
 # rows of stage 2's buffer and of the direct CDP are this many complex values
 # longer than a power of two, so a pass across rows does not hit one cache set
 _PAD = 8
@@ -136,7 +136,7 @@ class _CdpKernel:
 
         Returned shaped (c1 - c0, N // stride, Np), in out if given.
         stride = N gives the consecutive rows c0..c1; stride = M2 gives
-        stage-1 column strips. stride is a multiple of Np, so every row of
+        groups of stage-1 columns. stride is a multiple of Np, so every row of
         column c starts on residue c % Np, and every input is a view.
         """
         n, np_ch = self.cfg.N, self.cfg.Np
@@ -167,7 +167,7 @@ def _cdp_matrix(x: np.ndarray, cfg: SscaConfig, normalize_input: bool,
         r0, r1 = bounds
         kernel.rows(r0, r1, cfg.N, out[:, r0:r1].T[:, None])
 
-    run_partitioned(block_ranges(cfg.N, max(1, _CDP_BLOCK_ELEMS // cfg.Np)), worker, threads)
+    run_partitioned(block_ranges(cfg.N, max(1, _BLOCK_ELEMS // cfg.Np)), worker, threads)
     return out
 
 
@@ -287,26 +287,12 @@ class _FileStore:
 
 def _stage1(kernel: _CdpKernel, cfg: SscaConfig, store) -> None:
     m1, m2, np_ch, n = cfg.M1, cfg.M2, cfg.Np, cfg.N
-    cdt = complex_dtype(cfg.precision)
-    plan1 = get_plan(m1)
-    # Both stage FFTs run forward-scaled and the rotation table carries
-    # N = M1*M2 for both: stage 1 stores M2 times the unscaled values, and
-    # the forward-scaled M2-point FFT of M2*s is exactly the FFT of s.
-    # stage 1: M1 x Np column strips, CDP rows n = M2*m1 + m2 for each
-    # column m2; small strips are batched so the loop runs fewer times.
-    # The rotation multiply writes each group of columns channel-major into
-    # one staging block, which the store takes in whole runs per channel.
-    width = max(1, _STRIP_ELEMS // (m1 * np_ch))
-    group = min(m2, max(1, _GROUP_ELEMS // (m1 * np_ch)))
-    stage = np.empty((np_ch, group, m1), dtype=cdt)
+    # groups of columns m2 (CDP rows n = M2*m1 + m2), each transformed into a
+    # channel-major staging block that the store takes in one run per channel
+    group = min(m2, max(1, _BLOCK_ELEMS // (m1 * np_ch)))
+    stage = np.empty((np_ch, group, m1), dtype=complex_dtype(cfg.precision))
     for g0, g1 in block_ranges(m2, group):
-        for c0 in range(g0, g1, width):
-            c1 = min(c0 + width, g1)
-            s1 = kernel.rows(c0, c1, m2)
-            plan1.forward(s1, axis=1, out=s1)
-            rot = rotation_factors(m1, np.arange(c0, c1), n, cdt)
-            rot *= n
-            np.multiply(s1.transpose(2, 0, 1), rot.T, out=stage[:, c0 - g0:c1 - g0])
+        four_step_stage1(kernel.rows(g0, g1, m2), g0, n, stage[:, :g1 - g0])
         store.write(g0, g1, stage[:, :g1 - g0])
 
 
@@ -367,7 +353,7 @@ def ssca_2dfft(
     """Decomposed back end: stage-1 M1-point FFTs with rotation factors,
     stage-2 M2-point FFTs, and the bin map g = M1*m2' + m1' - N/2.
 
-    CDP rows are generated one stage-1 column strip at a time, so the full
+    CDP rows are generated one group of stage-1 columns at a time, so the full
     N x Np product never exists at once, and the CDP kernel (the padded
     input and the N-long scale) lives only through stage 1. The
     Np x M2 x M1 stage-1 output is an array when N*Np fits under

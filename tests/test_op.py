@@ -34,6 +34,16 @@ def test_run_returns_what_it_wrote_and_the_values_hash(tmp_path):
     assert np.array_equal(grid, sk.scd_to_grid(est, 64, 32).astype(np.float32))
 
 
+def test_length_mismatch_names_the_configuration_and_writes_nothing(tmp_path):
+    # a library caller passed no --n: the message names the config's N
+    scdio.write_iq(tmp_path / "x.iq", np.ones(100, dtype=np.complex64))
+    with pytest.raises(sk.DataError, match="holds 100 samples") as exc:
+        op.run(sk.FamConfig(N=512, Np=64), tmp_path / "x.iq", str(tmp_path / "o.scd1"),
+               f_bins=64, alpha_bins=32, pgm=str(tmp_path / "h.pgm"))
+    assert "512" in str(exc.value) and "--n" not in str(exc.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.iq"]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in maximum:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["fam", "ssca"]), precision=st.sampled_from(["f32", "f64"]),

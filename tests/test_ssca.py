@@ -184,6 +184,23 @@ def test_rescale_folds_are_exact(tmp_path, n, np_ch, m1, precision, spilled):
     assert np.array_equal(est.values, _unfused_2dfft_values(x, cfg))
 
 
+def _no_execute(*args, **kwargs):
+    raise AssertionError("FftPlan.execute was called")
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_four_step_runs_no_unscaled_fft(tmp_path, monkeypatch, precision):
+    # both stores and fft_decomposed run the one forward-scaled stage-1 step
+    x = _dsss(4096, seed=7)
+    monkeypatch.setattr(sk.fftcore.FftPlan, "execute", _no_execute)
+    for cap in (1 << 24, 1):
+        cfg = _cfg(mode="decomposed_2d", precision=precision, mem_cap_values=cap,
+                   spill_dir=str(tmp_path))
+        assert np.all(np.isfinite(sk.ssca_2dfft(x, cfg).values))
+    got = sk.fft_decomposed(x.astype(complex_dtype(precision)), 64, 64)
+    assert sk.peak_relative_error(got, np.fft.fft(x)) <= (1e-5 if precision == "f32" else 1e-12)
+
+
 def test_cdp_capacity_guard():
     cfg = _cfg(mem_cap_values=1000)
     with pytest.raises(sk.CapacityError):
@@ -241,14 +258,17 @@ def test_spilled_matches_in_memory_bitwise():
 
 
 def test_spill_strip_size_does_not_change_results(monkeypatch):
-    # one column per stage-1 strip, against the default
+    # stage-1 groups of one column and of three (the last group partial),
+    # against the default one group of all 64, on both stores
     x = _dsss(4096, seed=6)
-    cfg = _cfg(mode="decomposed_2d", mem_cap_values=1)
-    monkeypatch.setattr(ssca, "_STRIP_ELEMS", 1)
-    a = sk.ssca_2dfft(x, cfg)
-    monkeypatch.setattr(ssca, "_STRIP_ELEMS", 1 << 15)
-    b = sk.ssca_2dfft(x, cfg)
-    assert np.array_equal(a.values, b.values)
+    for cap in (1 << 24, 1):
+        cfg = _cfg(mode="decomposed_2d", mem_cap_values=cap)
+        default = sk.ssca_2dfft(x, cfg)
+        for columns in (1, 3):
+            monkeypatch.setattr(ssca, "_BLOCK_ELEMS", columns * cfg.M1 * cfg.Np)
+            assert np.array_equal(sk.ssca_2dfft(x, cfg).values, default.values)
+            monkeypatch.undo()
+    assert np.array_equal(default.values, _unfused_2dfft_values(x, cfg))
 
 
 def test_spill_reads_each_channel_once(monkeypatch):
@@ -277,6 +297,22 @@ def test_spill_writes_one_run_per_channel_per_group(monkeypatch):
     assert sizes == [64 * 64 * 8] * 32  # Np writes of M2 * M1 complex64 values
 
 
+def test_spill_writes_each_group_in_channel_order(monkeypatch):
+    # 2^16/64/M1=256 stages 32 of its 256 columns per group: 8 groups of Np
+    # writes of 32 columns each, channel by channel within a group
+    real_pwrite, writes = os.pwrite, []
+
+    def counting_pwrite(fd, data, offset):
+        writes.append((len(data), offset))
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", counting_pwrite)
+    cfg = _cfg(N=1 << 16, Np=64, M1=256, M2=256, mode="decomposed_2d", mem_cap_values=1)
+    sk.ssca_2dfft(_dsss(1 << 16), cfg)
+    run, channel = 32 * 256 * 8, 256 * 256 * 8
+    assert writes == [(run, k * channel + g * run) for g in range(8) for k in range(64)]
+
+
 def test_spill_file_cleaned_up(tmp_path):
     cfg = _cfg(mode="decomposed_2d", mem_cap_values=1, spill_dir=str(tmp_path))
     sk.ssca_2dfft(_dsss(4096), cfg)
@@ -290,20 +326,23 @@ def _envelope(draw):
     # M2 % Np == 0 and M1, M2 <= 1024
     log_m2 = draw(st.integers(max(log_np, log_n - 10), 10))
     m1 = 1 << (log_n - log_m2)
-    strip_elems = draw(st.integers(1, 1 << 16))
-    return 1 << log_n, 1 << log_np, m1, strip_elems, draw(st.integers(0, 1 << 16))
+    # the stage-1 group budget: one column up to every column in one group
+    block_elems = draw(st.integers(1, 1 << log_m2)) * m1 * (1 << log_np)
+    return 1 << log_n, 1 << log_np, m1, block_elems, draw(st.integers(0, 1 << 16))
 
 
 @settings(max_examples=6, deadline=None)
 @given(_envelope())
 def test_streamed_envelope_properties(point):
-    n, np_ch, m1, strip_elems, seed = point
+    n, np_ch, m1, block_elems, seed = point
     x = _dsss(n, seed=seed)
     cfg = sk.SscaConfig(N=n, Np=np_ch, M1=m1, mode="decomposed_2d", precision="f32")
     in_memory = sk.ssca_2dfft(x, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ssca, "_STRIP_ELEMS", strip_elems)
+        mp.setattr(ssca, "_BLOCK_ELEMS", block_elems)
+        grouped = sk.ssca_2dfft(x, cfg)
         spilled = sk.ssca_2dfft(x, replace(cfg, mem_cap_values=1))
+    assert np.array_equal(in_memory.values, grouped.values)
     assert np.array_equal(in_memory.values, spilled.values)
     assert np.array_equal(in_memory.values, _unfused_2dfft_values(x, cfg))
     direct = sk.ssca_direct(x, replace(cfg, mode="direct_1d"))
@@ -472,7 +511,7 @@ def test_ssca_direct_peak_is_cdp_values_and_one_row_block(n, np_ch, precision):
     complex_bytes = np.dtype(complex_dtype(precision)).itemsize
     cdp_bytes = n * np_ch * complex_bytes
     values_bytes = n * np_ch * np.dtype(real_dtype(precision)).itemsize
-    row_block_bytes = min(n, ssca._CDP_BLOCK_ELEMS // np_ch) * np_ch * complex_bytes
+    row_block_bytes = min(n, ssca._BLOCK_ELEMS // np_ch) * np_ch * complex_bytes
     assert peak <= cdp_bytes + values_bytes + row_block_bytes + (1 << 20), peak
 
 
